@@ -61,6 +61,8 @@ class CheckDef:
     summary: str
     randomized: bool
     fn: Callable[[ConeData, EngineContext], CheckOutcome]
+    # samples rational points of the hypersurface or a plane section
+    needs_points: bool = False
 
 
 def _gens_text(ideal: Ideal, limit: int = 12) -> List[str]:
@@ -317,8 +319,8 @@ def check_join_support(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
 CHECKS: Dict[str, CheckDef] = {}
 
 
-def _register(name, anchor, summary, randomized, fn):
-    CHECKS[name] = CheckDef(name, anchor, summary, randomized, fn)
+def _register(name, anchor, summary, randomized, fn, needs_points=False):
+    CHECKS[name] = CheckDef(name, anchor, summary, randomized, fn, needs_points)
 
 
 _register(
@@ -360,6 +362,7 @@ _register(
     "where the centre is an (h-1)-plane and the fibres have positive dimension.",
     True,
     check_w_covering,
+    needs_points=True,
 )
 _register(
     "prop-2-5",
@@ -368,6 +371,7 @@ _register(
     "linear section of matching codimension.",
     True,
     check_image_linear_section,
+    needs_points=True,
 )
 _register(
     "prop-2-6",
@@ -376,6 +380,7 @@ _register(
     "inside the codimension-h plane section.",
     True,
     check_family_end,
+    needs_points=True,
 )
 _register(
     "digamma",
@@ -393,6 +398,7 @@ _register(
     "hypersurface sliced with the join of the cycle and the twist line.",
     True,
     check_join_support,
+    needs_points=True,
 )
 _register(
     "formula-3-5",
@@ -416,6 +422,7 @@ _register(
     "need not be effective, is not settled by this program.",
     True,
     check_operator_degree,
+    needs_points=True,
 )
 
 CHECK_ORDER = [
@@ -460,13 +467,22 @@ def run_check(
             },
             notes=list(genericity.notes),
         )
-    try:
-        outcome = cdef.fn(cd, ctx)
-    except ResourceCapExceeded as exc:
+    if cdef.needs_points and cd.field_cfg.kind != "prime-field":
         outcome = CheckOutcome(
-            INCONCLUSIVE,
-            witnesses={"resource-cap": exc.what, "detail": exc.detail},
+            NOT_APPLICABLE,
+            notes=[
+                "this check samples rational points, and point search needs a "
+                "prime field (Fp:<p>), not %s" % cd.field_cfg.spec
+            ],
         )
+    else:
+        try:
+            outcome = cdef.fn(cd, ctx)
+        except ResourceCapExceeded as exc:
+            outcome = CheckOutcome(
+                INCONCLUSIVE,
+                witnesses={"resource-cap": exc.what, "detail": exc.detail},
+            )
     if genericity.notes and name != "expansion-g":
         outcome.notes = list(outcome.notes) + [
             "genericity-note: %s" % n for n in genericity.notes

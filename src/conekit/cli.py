@@ -38,11 +38,12 @@ def _default_cache() -> Optional[str]:
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     caps = cfg.caps
-    if args.cap_basis or args.cap_bits:
+    # compare with None: an explicit 0 must reach ScenarioConfig's positivity check
+    if args.cap_basis is not None or args.cap_bits is not None:
         caps = ResourceCaps(
-            max_basis=args.cap_basis or caps.max_basis,
+            max_basis=caps.max_basis if args.cap_basis is None else args.cap_basis,
             max_pairs=caps.max_pairs,
-            max_coeff_bits=args.cap_bits or caps.max_coeff_bits,
+            max_coeff_bits=caps.max_coeff_bits if args.cap_bits is None else args.cap_bits,
             max_reduction_steps=caps.max_reduction_steps,
         )
     return ScenarioConfig(

@@ -453,10 +453,15 @@ def saturate(
 ) -> Ideal:
     """(I : J^∞) for an arbitrary finitely generated J.
 
-    method="random": saturate by a single random J-combination of common
-    multidegree, then confirm stability against a second combination
-    (correct with high probability; an independent draw that still
-    moves the ideal restarts the loop).
+    method="random": cur = I : c0^∞ for a random J-combination c0 of
+    common multidegree, then a stability test against a fresh combination
+    h: nxt = cur : h^∞, and cur is returned when nxt ⊆ cur.  Since
+    cur ⊆ cur : h ⊆ cur : h^∞, the three tests cur : h ⊆ cur,
+    cur : h^∞ = cur and cur : h^∞ ⊆ cur are equivalent, so the second
+    saturation certifies exactly what the colon cur : h would, at the cost
+    of one 1 - u*h elimination instead of an intersection.  When the test
+    fails, cur becomes nxt and a new h is drawn.  Correct with high
+    probability: the test cannot see a component that c0 already removed.
     method="exact": ∩_g (I : g^∞) over the generators of J.
     """
     if target.is_zero():
@@ -486,11 +491,10 @@ def saturate(
     cur = saturate_by_poly(ideal, combo(0), ctx)
     round_no = 1
     while True:
-        probe = combo(round_no)
-        nxt = quotient_by_poly(cur, probe, ctx)
+        nxt = saturate_by_poly(cur, combo(round_no), ctx)
         if contains_ideal(cur, nxt, ctx):
             return cur
-        cur = saturate_by_poly(cur, probe, ctx)
+        cur = nxt
         round_no += 1
 
 

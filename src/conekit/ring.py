@@ -636,26 +636,21 @@ def taylor_reconstruct(p: Poly, tvar: str) -> Poly:
 # text grammar: variables, integer or a/b coefficients, + - * ^, parentheses
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S))")
 
 
 def _tokenize(text: str):
-    pos = 0
     tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise RingError("cannot tokenize %r" % text[pos : pos + 20])
-        num, name, op = m.groups()
-        if num is not None:
+    for num, name, op, bad in _TOKEN.findall(text):
+        if num:
             tokens.append(("num", num))
-        elif name is not None:
+        elif name:
             tokens.append(("var", name))
-        else:
+        elif op:
             tokens.append(("op", op))
-        pos = m.end()
+        else:
+            pos = next(m.start() for m in _TOKEN.finditer(text) if m.group(4))
+            raise RingError("cannot tokenize %r" % text[pos : pos + 20])
     tokens.append(("end", ""))
     return tokens
 
@@ -675,37 +670,84 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> Poly:
-        # expr := ['+'|'-'] term (('+'|'-') term)*
-        sign = 1
-        if self.peek() == ("op", "+"):
-            self.next()
-        elif self.peek() == ("op", "-"):
-            self.next()
-            sign = -1
-        acc = self.parse_term()
-        if sign < 0:
-            acc = -acc
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
+        # expr := ['+'|'-'] term (('+'|'-') term)*, summed into one terms dict
+        F = self.ring.field
+        out: Dict[Monomial, object] = {}
+        op = "+"
+        if self.peek() in (("op", "+"), ("op", "-")):
             op = self.next()[1]
-            term = self.parse_term()
-            acc = acc + term if op == "+" else acc - term
-        return acc
+        while True:
+            for m, c in self.parse_term():
+                if op == "-":
+                    c = F.neg(c)
+                if m in out:
+                    s = F.add(out[m], c)
+                    if F.is_zero(s):
+                        del out[m]
+                    else:
+                        out[m] = s
+                else:
+                    out[m] = c
+            kind, val = self.peek()
+            if kind != "op" or val not in ("+", "-"):
+                return Poly(self.ring, out)
+            op = self.next()[1]
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> Iterable[Tuple[Monomial, object]]:
+        # term := factor ('*' factor)*, as its (monomial, coefficient) pairs.
+        # A product of numbers, variables and their powers is read straight
+        # into one pair; a product with a parenthesised factor is re-read
+        # from its start with Poly arithmetic.
+        start = self.i
+        F = self.ring.field
+        coeff = F.one
+        mono = [0] * self.ring.nvars
+        while True:
+            kind, val = self.next()
+            if kind == "num":
+                c = F.coeff_parse(val)
+                e = self.parse_exponent()
+                while e:
+                    if e & 1:
+                        coeff = F.mul(coeff, c)
+                    c = F.mul(c, c)
+                    e >>= 1
+            elif kind == "var":
+                i = self.ring.ambient.var_index(val)
+                mono[i] += self.parse_exponent()
+            elif (kind, val) == ("op", "("):
+                self.i = start
+                return self.parse_product().terms.items()
+            else:
+                raise RingError("unexpected token %r" % ((kind, val),))
+            if self.peek() != ("op", "*"):
+                break
+            self.next()
+        if F.is_zero(coeff):
+            return ()
+        return ((tuple(mono), coeff),)
+
+    def parse_product(self) -> Poly:
         acc = self.parse_factor()
         while self.peek() == ("op", "*"):
             self.next()
             acc = acc * self.parse_factor()
         return acc
 
+    def parse_exponent(self) -> int:
+        # the optional '^' e after an atom; 1 when absent
+        if self.peek() != ("op", "^"):
+            return 1
+        self.next()
+        kind, val = self.next()
+        if kind != "num" or "/" in val:
+            raise RingError("exponent must be a nonnegative integer")
+        return int(val)
+
     def parse_factor(self) -> Poly:
         base = self.parse_atom()
         if self.peek() == ("op", "^"):
-            self.next()
-            kind, val = self.next()
-            if kind != "num" or "/" in val:
-                raise RingError("exponent must be a nonnegative integer")
-            return base ** int(val)
+            return base ** self.parse_exponent()
         return base
 
     def parse_atom(self) -> Poly:

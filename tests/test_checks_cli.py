@@ -104,6 +104,18 @@ def test_not_applicable_cases():
     assert "delta-part-multiplicity" not in out4.witnesses
 
 
+@pytest.mark.parametrize(
+    "name", ["w-covering", "prop-2-5", "prop-2-6", "example-3-2", "formula-3-5"]
+)
+def test_point_checks_not_applicable_over_rationals(name):
+    # point search needs a prime field; over Q these checks say so
+    cd = cone.preset("quadric-s2-h1", FieldConfig.parse("Q"))
+    out = run_check_two_prime(name, cd, CTX)
+    assert out.status == NOT_APPLICABLE
+    assert any("needs a prime field" in n for n in out.notes)
+    assert "second-prime" not in out.witnesses
+
+
 def test_two_prime_wrapper_records_second_prime():
     out = run_check_two_prime("prop-2-5", quadric(), CTX)
     assert out.status == PASS
@@ -241,6 +253,30 @@ def test_cli_verify_stdout_and_overrides(capsys):
 def test_cli_verify_config_error_exit_2(capsys):
     assert main(["verify", "--scenario", "quadric-s2-h1", "--checks", "bogus"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cap-basis", "--cap-bits"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_verify_nonpositive_cap_exit_2(flag, value, capsys):
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g", flag, value])
+    assert rc == 2
+    assert "resource caps must be positive" in capsys.readouterr().err
+
+
+def test_cli_verify_cap_overrides_reach_report(capsys):
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g",
+               "--cap-basis", "5000", "--cap-bits", "7"])
+    assert rc == 0
+    caps = json.loads(capsys.readouterr().out)["scenario"]["caps"]
+    assert caps["max-basis"] == 5000 and caps["max-coeff-bits"] == 7
+
+
+def test_cli_verify_rationals_point_check_exit_0(capsys):
+    # an exception escaping main would exit 1, the code that means FAIL
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--field", "Q", "--checks", "w-covering"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)["checks"][0]
+    assert rec["status"] == NOT_APPLICABLE
 
 
 def test_cli_verify_jobs_parallel(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import ideals
 from conekit.fields import DEFAULT_PRIME, PrimeField, QQ
 from conekit.ideals import (
     EngineContext,
@@ -91,6 +92,102 @@ def test_quotient_vs_saturation():
     I = Ideal(R, [x0 * x0 * x1])
     assert ideal_equal(quotient_by_poly(I, x0, CTX), Ideal(R, [x0 * x1]), CTX)
     assert ideal_equal(saturate_by_poly(I, x0, CTX), Ideal(R, [x1]), CTX)
+
+
+R3 = PolyRing(AmbientSpace.product(("x", 3)), FP)
+
+
+def small_polys(max_terms=3, max_exp=2):
+    monos = st.tuples(*[st.integers(0, max_exp)] * R3.nvars)
+    pairs = st.lists(st.tuples(monos, st.integers(1, DEFAULT_PRIME - 1)), min_size=1, max_size=max_terms)
+    return pairs.map(lambda ps: R3.from_int_terms(dict(ps))).filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def factored_ideal(draw):
+    """A small ideal whose generators share random factors, and the factors."""
+    factors = draw(st.lists(small_polys(), min_size=2, max_size=3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.lists(st.sampled_from(factors), min_size=1, max_size=2))
+        g = R3.one()
+        for f in picked:
+            g = g * f
+        gens.append(g)
+    return Ideal(R3, gens), factors
+
+
+@st.composite
+def ideal_and_probe(draw):
+    # h is often one of the shared factors, so both answers of the test occur
+    I, factors = draw(factored_ideal())
+    return I, draw(st.sampled_from(factors) | small_polys())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=ideal_and_probe())
+def test_colon_and_saturation_certify_the_same(case):
+    # cur ⊆ cur : h ⊆ cur : h^∞, so cur : h ⊆ cur iff cur : h^∞ ⊆ cur:
+    # saturate() may certify stability with a second saturation
+    I, h = case
+    ctx = EngineContext(seed=0)
+    by_colon = contains_ideal(I, quotient_by_poly(I, h, ctx), ctx)
+    by_saturation = contains_ideal(I, saturate_by_poly(I, h, ctx), ctx)
+    assert by_colon == by_saturation
+
+
+def test_colon_and_saturation_certify_the_same_examples():
+    x0, x1, x2 = R3.gens()
+    for I, h, stable in [
+        (Ideal(R3, [x0 * x0 * x1]), x0, False),
+        (Ideal(R3, [x0 * x1, x0 * x2]), x1 + x2, False),
+        (Ideal(R3, [x0 * x1]), x2, True),
+        (Ideal(R3, [x0 * x1 - x2 * x2]), x0 + x1 + x2, True),
+    ]:
+        assert contains_ideal(I, quotient_by_poly(I, h, CTX), CTX) is stable
+        assert contains_ideal(I, saturate_by_poly(I, h, CTX), CTX) is stable
+
+
+@st.composite
+def ideal_and_target(draw):
+    # J often lies in (f) for a shared factor f, so the saturation moves I
+    I, factors = draw(factored_ideal())
+    cofactors = draw(st.lists(small_polys(max_terms=2), min_size=2, max_size=3))
+    f = draw(st.sampled_from(factors) | st.just(R3.one()))
+    return I, Ideal(R3, [f * c for c in cofactors])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=ideal_and_target())
+def test_random_saturation_matches_exact_and_iterated(case):
+    I, J = case
+    ctx = EngineContext(seed=0)
+    rand = saturate(I, J, ctx, method="random")
+    exact = saturate(I, J, ctx, method="exact")
+    iterated = saturate_by_poly_iterated(I, J.gens[0], ctx)
+    for g in J.gens[1:]:
+        iterated = intersect(iterated, saturate_by_poly_iterated(I, g, ctx), ctx)
+    assert ideal_equal(rand, exact, ctx)
+    assert ideal_equal(exact, iterated, ctx)
+
+
+def test_random_saturation_takes_no_colon(monkeypatch):
+    R = ring_p3()
+    x0, x1, x2, x3 = R.gens()
+    # (x3) ∩ (x0, x1, x2), and J generates (x0, x1, x2)
+    I = Ideal(R, [x0 * x3, x1 * x3, x2 * x3])
+    J = Ideal(R, [x1, x2, x0 + x1])
+    expect = saturate(I, J, EngineContext(seed=0), method="exact")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the random route must not compute a colon or an intersection")
+
+    monkeypatch.setattr(ideals, "quotient_by_poly", forbidden)
+    monkeypatch.setattr(ideals, "intersect", forbidden)
+    for seed in range(3):
+        got = saturate(I, J, EngineContext(seed=seed), method="random")
+        assert ideal_equal(got, expect, CTX)
+    assert ideal_equal(expect, Ideal(R, [x3]), CTX)
 
 
 def test_intersection_oracle():

@@ -1,5 +1,7 @@
 """Polynomial ring: arithmetic laws, orders, parser/printer, taylor shift."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,136 @@ def test_parse_grammar():
         R3.parse("x9")
     with pytest.raises(RingError):
         R3.parse("x0 +")
+
+
+RB = PolyRing(AmbientSpace.product(("z", 2), ("x", 3), affine=("z",)), FP)
+RBQ = PolyRing(AmbientSpace.product(("z", 2), ("x", 3), affine=("z",)), QQ)
+
+
+@pytest.mark.parametrize("ring", [RB, RBQ], ids=["Fp", "Q"])
+@given(data=st.data())
+def test_parse_print_round_trip_blocks(ring, data):
+    p = data.draw(polys(ring=ring, max_terms=10, max_exp=12))
+    assert ring.parse(poly_str(p)) == p
+
+
+def expressions(ring):
+    """(text, value) pairs from the full grammar: signs, products, powers,
+    integer and a/b coefficients, nested parentheses, spacing."""
+    F = ring.field
+
+    def const(k, d=1):
+        return ring.const(F.from_fraction(Fraction(k, d)))
+
+    atoms = st.one_of(
+        st.sampled_from(ring.ambient.varnames).map(lambda n: (n, ring.var(n))),
+        st.integers(0, 40).map(lambda k: (str(k), const(k))),
+        st.tuples(st.integers(0, 40), st.integers(1, 9)).map(
+            lambda kd: ("%d/%d" % kd, const(*kd))
+        ),
+    )
+
+    def powered(factors):
+        return st.tuples(factors, st.integers(0, 2)).map(
+            lambda fe: ("%s^%d" % (fe[0][0], fe[1]), fe[0][1] ** fe[1])
+        )
+
+    def expr_of(factors):
+        def product(fs):
+            value = ring.one()
+            for _, v in fs:
+                value = value * v
+            return "*".join(t for t, _ in fs), value
+
+        term = st.lists(factors | powered(factors), min_size=1, max_size=3).map(product)
+
+        def build(parts):
+            lead, first, rest = parts
+            text, value = lead + first[0], -first[1] if lead == "-" else first[1]
+            for (op, space), (t, v) in rest:
+                text += (" %s " if space else "%s") % op + t
+                value = value + v if op == "+" else value - v
+            return text, value
+
+        ops = st.tuples(st.sampled_from("+-"), st.booleans())
+        return st.tuples(
+            st.sampled_from(["", "-", "+"]), term, st.lists(st.tuples(ops, term), max_size=3)
+        ).map(build)
+
+    factors = st.recursive(
+        atoms, lambda inner: expr_of(inner).map(lambda e: ("(%s)" % e[0], e[1])), max_leaves=6
+    )
+    return expr_of(factors)
+
+
+@pytest.mark.parametrize("ring", [RB, RBQ], ids=["Fp", "Q"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_parse_matches_poly_arithmetic(ring, data):
+    text, value = data.draw(expressions(ring))
+    assert ring.parse(text) == value
+
+
+def test_parse_grammar_cases():
+    x0, x1, x2 = R3.gens()
+    one = R3.one()
+    # unary minus binds to the whole first term, then + and - are left-assoc
+    assert R3.parse("-x0*x1 + x2") == x2 - x0 * x1
+    assert R3.parse("-x0 - x1 - x2") == -(x0 + x1 + x2)
+    assert R3.parse("+x0") == x0
+    # powers of variables, numbers and parenthesised sums
+    assert R3.parse("x0^3*x0^2") == x0 ** 5
+    assert R3.parse("2^5*x1") == x1.scale(FP.from_int(32))
+    assert R3.parse("x0^0") == one and R3.parse("0^0") == one
+    assert R3.parse("(x0 - x1)^2") == x0 * x0 - x1.scale(FP.from_int(2)) * x0 + x1 * x1
+    assert R3.parse("-(x0 + (x1 - (x2)))*x2") == -(x0 + x1 - x2) * x2
+    assert R3.parse("(x0)^0*(x1 + 1)") == x1 + one
+    # coefficients reduce in the field; cancelling terms vanish
+    assert R3.parse("%d*x0 + x1" % DEFAULT_PRIME) == x1
+    assert R3.parse("x0*x1 - x1*x0").is_zero()
+    assert R3.parse("0") == R3.zero() and R3.parse("0*x0 + 0").is_zero()
+    assert R3.parse("1/2*x0 + 1/2*x0") == x0
+    # rationals are exact over Q
+    q0, q1, _ = RQ.gens()
+    assert RQ.parse("3/4*x0 - 1/4*x0") == q0.scale(Fraction(1, 2))
+    assert RQ.parse("-2/6*x1^2") == (q1 * q1).scale(Fraction(-1, 3))
+    assert RQ.parse("(1/2*x0 + 1)^2") == (q0 * q0).scale(Fraction(1, 4)) + q0 + RQ.one()
+    assert RQ.parse(" x0 +\tx1\n") == q0 + q1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x9", "unknown variable"),
+        ("x0 + y", "unknown variable"),
+        ("x0 +", "unexpected token"),
+        ("", "unexpected token"),
+        ("x0*-x1", "unexpected token"),
+        ("--x0", "unexpected token"),
+        ("x0*)", "unexpected token"),
+        ("x0^-1", "exponent must be a nonnegative integer"),
+        ("x0^1/2", "exponent must be a nonnegative integer"),
+        ("x0^x1", "exponent must be a nonnegative integer"),
+        ("x0^", "exponent must be a nonnegative integer"),
+        ("(x0 + x1", "missing closing parenthesis"),
+        ("(x0 + x1)^", "exponent must be a nonnegative integer"),
+        ("x0)", "trailing input"),
+        ("x0 x1", "trailing input"),
+        ("x0^2^3", "trailing input"),
+        ("x0 $ x1", "cannot tokenize ' \\$ x1'"),
+        ("x0 + 3/", "cannot tokenize '/'"),
+    ],
+)
+def test_parse_errors(text, message):
+    with pytest.raises(RingError, match=message):
+        R3.parse(text)
+
+
+def test_parse_division_by_zero_coefficient():
+    with pytest.raises(ZeroDivisionError):
+        R3.parse("x0 + 1/%d*x1" % DEFAULT_PRIME)
+    with pytest.raises(ZeroDivisionError):
+        RQ.parse("1/0*x0")
 
 
 @given(p=polys())
