@@ -1,14 +1,46 @@
-"""Buchberger's algorithm with the Gebauer-Moeller pair update.
+"""Buchberger's algorithm with the Gebauer-Moeller pair update, on packed monomials.
 
-Everything operates on the sparse Poly type; inside the hot loop
-polynomials are handled as lists of (monomial, coefficient) sorted
-descending under the active order.
+The public functions take and return the sparse Poly type.  Inside one run
+of `buchberger`, `normal_form` or `is_groebner_basis` each monomial is a
+single Python int (Monagan & Pearce, "Sparse polynomial division using a
+heap", JSC 2011), and a polynomial is a list of (monomial, coefficient)
+pairs with its lead term first.  Monomials are packed when they enter the
+run and unpacked when they leave it.
+
+Packing (`_Layout`).  Each variable gets a bit field of `width` bits whose
+top bit is a guard, so every exponent stays below 2**(width-1).  The
+order's grevlex blocks (`MonomialOrder.grevlex_blocks`) fix where the
+fields go: the most significant block is highest; within a block the last
+slot is highest, and above the block's exponents sits one more field that
+holds the block's total degree.  While no guard bit is set:
+
+- the product of two monomials is `a + b`, and the quotient is `b - a`;
+- `a` divides `b` iff `not ((b - a) & GUARD)`;
+- the lcm is the per-field maximum, under a mask read off the guard bits
+  of `(a | GUARD) - b`, with the degree fields of blocks of several
+  variables summed again;
+- two monomials are coprime iff their variable-support masks are disjoint;
+- the order key `(m & DEG) + EXP - (m & EXP)` keeps the degree fields and
+  replaces each exponent by its complement, so larger keys are larger
+  monomials.  For a packed monomial this is `m ^ EXP`.
+
+No key is stored with a monomial; each S-pair keeps the key of its lcm.
+
+Exponents never overflow silently.  A polynomial is packed only if its
+total degree fits in a field.  Each basis element keeps the bitwise OR of its
+terms, which bounds every field of every term; a product whose bound, or an
+lcm, sets a guard bit raises `_Overflow`, and the run starts again with
+fields twice as wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from itertools import islice
+from operator import mul, or_
+from typing import Dict, List, Sequence, Tuple
 
 from .ring import Monomial, MonomialOrder, Poly, PolyRing
 
@@ -29,62 +61,129 @@ class ResourceCaps:
     max_coeff_bits: int = 100000
     max_reduction_steps: int = 4_000_000
 
-    def scaled(self, factor: float) -> "ResourceCaps":
-        return ResourceCaps(
-            max_basis=int(self.max_basis * factor),
-            max_pairs=int(self.max_pairs * factor),
-            max_coeff_bits=int(self.max_coeff_bits * factor),
-            max_reduction_steps=int(self.max_reduction_steps * factor),
-        )
-
 
 DEFAULT_CAPS = ResourceCaps()
 
+# bits per field in a run's first attempt: exponents and block degrees up to 32767
+_FIRST_WIDTH = 16
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+Terms = List[Tuple[int, object]]
 
 
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+class _Overflow(Exception):
+    """A packed exponent or degree would not fit its field."""
 
 
-def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+class _Layout:
+    """Bit fields of the packed monomials of one order, variable count and width."""
+
+    def __init__(self, blocks: Sequence[Sequence[int]], nvars: int, width: int):
+        top = 1 << (width - 1)
+        self.width = width
+        self.limit = top
+        self.shifts = [0] * nvars
+        # packing adds weights[i] per unit of x_i: its own field and its block's degree field
+        self.weights = [0] * nvars
+        # (exponent mask, multiplier, degree field) of each block of several
+        # variables: (m & mask) * multiplier has the block's degree in that field
+        self.degree_sums = []
+        guard = exp = 0
+        shift = 0
+        for block in reversed(blocks):
+            base = shift
+            for v in block:
+                self.shifts[v] = shift
+                exp |= (top - 1) << shift
+                guard |= top << shift
+                shift += width
+            for v in block:
+                self.weights[v] = (1 << self.shifts[v]) | (1 << shift)
+            if len(block) > 1:
+                self.degree_sums.append((
+                    exp & ~((1 << base) - 1),
+                    sum(1 << (k * width) for k in range(1, len(block) + 1)),
+                    ((1 << width) - 1) << shift,
+                ))
+            guard |= top << shift
+            shift += width
+        self.exp = exp
+        self.guard = guard
+        self.exp_guard = guard & (exp << 1)
+
+    def unpack(self, m: int) -> Monomial:
+        low = self.limit - 1
+        return tuple((m >> s) & low for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bit set where a's field >= b's
+        mask = ge - (ge >> (self.width - 1))
+        m = (a & mask) | (b & ~mask)
+        for exps, mult, deg in self.degree_sums:
+            m = (m & ~deg) | ((m & exps) * mult & deg)
+        return m
+
+    def support(self, m: int) -> int:
+        """Guard bits of the exponent fields that are nonzero in m."""
+        return ((m & self.exp) + self.exp) & self.exp_guard
 
 
-def _mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+_LAYOUTS: Dict[Tuple[str, int, int], _Layout] = {}
+
+
+def _layout(order: MonomialOrder, nvars: int, width: int) -> _Layout:
+    key = (order.name, nvars, width)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = _Layout(order.grevlex_blocks(nvars), nvars, width)
+    return layout
 
 
 class _Work:
-    """Mutable reduction workspace for one Groebner run."""
+    """Mutable reduction workspace for one Groebner run at one field width."""
 
-    def __init__(self, ring: PolyRing, order: MonomialOrder, caps: ResourceCaps):
+    def __init__(self, ring: PolyRing, order: MonomialOrder, caps: ResourceCaps, width: int):
         self.ring = ring
-        self.order = order
         self.caps = caps
         self.field = ring.field
+        self.layout = _layout(order, ring.nvars, width)
+        self.exp = self.layout.exp
+        self.guard = self.layout.guard
         self.steps = 0
 
-    def tick(self, n: int = 1):
-        self.steps += n
-        if self.steps > self.caps.max_reduction_steps:
-            raise ResourceCapExceeded("reduction-steps", str(self.steps))
+    def pack(self, p: Poly) -> Terms:
+        """Terms of p, packed and sorted descending in the order."""
+        if max(map(sum, p.terms)) >= self.layout.limit:
+            raise _Overflow
+        w = self.layout.weights
+        x = self.exp
+        return sorted(((sum(map(mul, m, w)), c) for m, c in p.terms.items()),
+                      key=lambda t: t[0] ^ x, reverse=True)
 
-    def to_list(self, p: Poly) -> List[Tuple[Monomial, object]]:
-        hk = self.order.heapkey
-        return sorted(p.terms.items(), key=lambda t: hk(t[0]))
+    def pack_basis(self, basis: Sequence[Poly]) -> Tuple[List[Terms], List[int], List[int]]:
+        """Packed basis elements, their leads and their hulls, for reduce_full."""
+        blists = [self.pack(b) for b in basis]
+        return blists, [b[0][0] for b in blists], [self.hull(b) for b in blists]
 
-    def to_poly(self, terms: List[Tuple[Monomial, object]]) -> Poly:
-        return Poly(self.ring, dict(terms))
+    def to_polys(self, polys: Sequence[Terms]) -> List[Poly]:
+        """Unpacked polynomials; a monomial in several of them is one shared tuple."""
+        up = self.layout.unpack
+        tuples: Dict[int, Monomial] = {}
+        out = []
+        for terms in polys:
+            d = {}
+            for m, c in terms:
+                t = tuples.get(m)
+                if t is None:
+                    t = tuples[m] = up(m)
+                d[t] = c
+            out.append(Poly(self.ring, d))
+        return out
+
+    @staticmethod
+    def hull(terms: Terms) -> int:
+        """Bitwise OR of the monomials: each field is at least every term's."""
+        return reduce(or_, (m for m, _ in terms))
 
     def check_bits(self, terms):
         F = self.field
@@ -93,85 +192,88 @@ class _Work:
             if F.coeff_bits(c) > cap:
                 raise ResourceCapExceeded("coefficient-bits")
 
-    def reduce_full(
-        self,
-        terms: List[Tuple[Monomial, object]],
-        basis: Sequence[List[Tuple[Monomial, object]]],
-        leads: Sequence[Monomial],
-    ) -> List[Tuple[Monomial, object]]:
-        """Full normal form of `terms` modulo `basis`; result sorted, monic not enforced."""
+    def reduce_full(self, terms, basis: Sequence[Terms], leads: Sequence[int],
+                    hulls: Sequence[int]) -> Terms:
+        """Full normal form of `terms` modulo `basis`, sorted descending; monic not enforced.
+
+        `terms` is any iterable of (monomial, coefficient) pairs.  Each basis
+        element has its lead term first; `leads` and `hulls` hold its lead
+        monomial and its hull.
+        """
         F = self.field
-        work: Dict[Monomial, object] = dict(terms)
-        out: Dict[Monomial, object] = {}
-        # max-heap of candidate monomials with lazy deletion; `work` is
-        # authoritative, stale heap entries are skipped on pop
-        import heapq
-
-        hk = self.order.heapkey
-        keys: Dict[Monomial, object] = {}
-
-        def kneg(m):
-            k = keys.get(m)
-            if k is None:
-                k = hk(m)
-                keys[m] = k
-            return k
-
-        heap = [(kneg(m), m) for m in work]
-        heapq.heapify(heap)
+        is_zero, div, fmul, neg, sub = F.is_zero, F.div, F.mul, F.neg, F.sub
+        x = self.exp
+        guard = self.guard
+        cap = self.caps.max_reduction_steps
+        steps = self.steps
+        work: Dict[int, object] = dict(terms)
+        out: Terms = []
+        # max-heap of candidate monomials as negated keys, with lazy deletion:
+        # `work` is authoritative, stale heap entries are skipped on pop.
+        # Pops come in descending order, so `out` is sorted.
+        heap = [-(m ^ x) for m in work]
+        heapify(heap)
         while heap:
-            _, m = heapq.heappop(heap)
+            m = -heappop(heap) ^ x
             c = work.pop(m, None)
-            if c is None or F.is_zero(c):
+            if c is None or is_zero(c):
                 continue
-            self.tick()
-            for gi, lm in enumerate(leads):
-                if _mono_divides(lm, m):
-                    g = basis[gi]
-                    q = _mono_div(m, lm)
-                    factor = F.div(c, g[0][1])
-                    # work -= factor * q * g
-                    for gm, gc in g:
-                        mm = _mono_mul(gm, q)
-                        sub = F.mul(factor, gc)
-                        if mm == m:
-                            continue  # head cancels by construction
-                        cur = work.get(mm)
-                        if cur is None:
-                            nv = F.neg(sub)
-                            if not F.is_zero(nv):
-                                work[mm] = nv
-                                heapq.heappush(heap, (kneg(mm), mm))
+            steps += 1
+            if steps > cap:
+                raise ResourceCapExceeded("reduction-steps", str(steps))
+            for lm, g, h in zip(leads, basis, hulls):
+                if (m - lm) & guard:
+                    continue
+                q = m - lm
+                if (h + q) & guard:
+                    raise _Overflow
+                factor = div(c, g[0][1])
+                # work -= factor * q * g; the head cancels by construction
+                for gm, gc in islice(g, 1, None):
+                    mm = gm + q
+                    s = fmul(factor, gc)
+                    cur = work.get(mm)
+                    if cur is None:
+                        nv = neg(s)
+                        if not is_zero(nv):
+                            work[mm] = nv
+                            heappush(heap, -(mm ^ x))
+                    else:
+                        nv = sub(cur, s)
+                        if is_zero(nv):
+                            del work[mm]
                         else:
-                            nv = F.sub(cur, sub)
-                            if F.is_zero(nv):
-                                del work[mm]
-                            else:
-                                work[mm] = nv
-                    self.tick(len(g))
-                    break
+                            work[mm] = nv
+                steps += len(g)
+                if steps > cap:
+                    raise ResourceCapExceeded("reduction-steps", str(steps))
+                break
             else:
-                out[m] = c
-        result = sorted(out.items(), key=lambda t: hk(t[0]))
-        self.check_bits(result)
-        return result
+                out.append((m, c))
+        self.steps = steps
+        self.check_bits(out)
+        return out
 
 
-def _spoly(f, g, W: _Work):
+def _spoly(f: Terms, g: Terms, hf: int, hg: int, lcm: int, W: _Work) -> Dict[int, object]:
+    """S-polynomial of f and g, whose leads have lcm `lcm` and whose hulls are hf, hg.
+
+    Raises _Overflow if a product, the lcm among them, could leave its field.
+    """
     F = W.field
     lmf, lcf = f[0]
     lmg, lcg = g[0]
-    lcm = _mono_lcm(lmf, lmg)
-    qf = _mono_div(lcm, lmf)
-    qg = _mono_div(lcm, lmg)
-    terms: Dict[Monomial, object] = {}
+    qf = lcm - lmf
+    qg = lcm - lmg
+    if ((hf + qf) | (hg + qg)) & W.guard:
+        raise _Overflow
+    terms: Dict[int, object] = {}
     inv_f = F.inv(lcf)
     inv_g = F.inv(lcg)
     for m, c in f:
-        mm = _mono_mul(m, qf)
-        terms[mm] = F.mul(c, inv_f)
+        terms[m + qf] = F.mul(c, inv_f)
     for m, c in g:
-        mm = _mono_mul(m, qg)
+        mm = m + qg
         cur = terms.get(mm)
         v = F.mul(c, inv_g)
         if cur is None:
@@ -182,8 +284,17 @@ def _spoly(f, g, W: _Work):
                 del terms[mm]
             else:
                 terms[mm] = nv
-    hk = W.order.heapkey
-    return sorted(terms.items(), key=lambda t: hk(t[0]))
+    return terms
+
+
+def _widening(run):
+    """Call run(width) from the first width, doubling it after each overflow."""
+    width = _FIRST_WIDTH
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
 
 
 def buchberger(
@@ -199,109 +310,116 @@ def buchberger(
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    ring = gens[0].ring
-    W = _Work(ring, order, caps)
-    F = ring.field
-    key = order.key
+    return _widening(lambda width: _buchberger(gens, _Work(gens[0].ring, order, caps, width)))
 
-    G: List[List[Tuple[Monomial, object]]] = []
-    leads: List[Monomial] = []
 
-    pairs: List[Tuple[Monomial, int, int]] = []  # (lcm, i, j)
+def _buchberger(gens: Sequence[Poly], W: _Work) -> List[Poly]:
+    caps = W.caps
+    x = W.exp
+    guard = W.guard
+    lcm_of = W.layout.lcm
+    support = W.layout.support
+
+    G: List[Terms] = []
+    leads: List[int] = []
+    hulls: List[int] = []
+    supports: List[int] = []
+    # heap of (key of lcm, seq, lcm, i, j); seq counts insertions, so among
+    # equal lcms the pair installed first is selected first
+    pairs: List[Tuple[int, int, int, int, int]] = []
+    seq = 0
 
     def update(new_terms):
         """Gebauer-Moeller: install new element, prune pair set."""
+        nonlocal pairs, seq
         t = len(G)
         lm_new = new_terms[0][0]
-        # build candidate pairs with existing elements
-        cand = []
-        for i in range(t):
-            cand.append((_mono_lcm(leads[i], lm_new), i))
+        # candidate pairs with existing elements; the divisibility tests
+        # below are exact only while no lcm sets a guard bit
+        lcms = [lcm_of(lm, lm_new) for lm in leads]
+        for lcm in lcms:
+            if lcm & guard:
+                raise _Overflow
         # discard old pairs whose lcm is a proper multiple of new lead
-        kept = []
-        for lcm, i, j in pairs:
-            if (
-                _mono_divides(lm_new, lcm)
-                and _mono_lcm(leads[i], lm_new) != lcm
-                and _mono_lcm(leads[j], lm_new) != lcm
-            ):
-                continue
-            kept.append((lcm, i, j))
-        pairs[:] = kept
+        pairs = [
+            pr for pr in pairs
+            if (pr[2] - lm_new) & guard or lcms[pr[3]] == pr[2] or lcms[pr[4]] == pr[2]
+        ]
         # prune candidates: criterion M (lcm strictly divisible by another cand lcm)
-        cand.sort(key=lambda t2: key(t2[0]))
+        cand = sorted((lcm ^ x, i, lcm) for i, lcm in enumerate(lcms))
         pruned = []
-        for idx, (lcm, i) in enumerate(cand):
-            redundant = False
-            for lcm2, i2 in pruned:
-                if lcm2 != lcm and _mono_divides(lcm2, lcm):
-                    redundant = True
+        for _, i, lcm in cand:
+            for lcm2, _ in pruned:
+                if lcm2 != lcm and not (lcm - lcm2) & guard:
                     break
-            if not redundant:
+            else:
                 pruned.append((lcm, i))
         # criterion F: among equal lcm keep one
-        seen = {}
+        seen: Dict[int, int] = {}
         for lcm, i in pruned:
             if lcm not in seen:
                 seen[lcm] = i
         # criterion B (product criterion): drop coprime-lead pairs
+        s_new = support(lm_new)
         for lcm, i in seen.items():
-            if not _mono_coprime(leads[i], lm_new):
-                pairs.append((lcm, i, t))
+            if supports[i] & s_new:
+                pairs.append((lcm ^ x, seq, lcm, i, t))
+                seq += 1
+        heapify(pairs)
         G.append(new_terms)
         leads.append(lm_new)
+        hulls.append(W.hull(new_terms))
+        supports.append(s_new)
         if len(G) > caps.max_basis:
             raise ResourceCapExceeded("basis-size", str(len(G)))
         if len(pairs) > caps.max_pairs:
             raise ResourceCapExceeded("pair-count", str(len(pairs)))
 
     # seed with interreduced inputs (cheap: just normal forms against earlier)
-    for g in sorted(gens, key=lambda p: key(p.lead(order)[0])):
-        terms = W.reduce_full(W.to_list(g), G, leads)
-        if terms:
-            update(terms)
+    for terms in sorted((W.pack(g) for g in gens), key=lambda t: t[0][0] ^ x):
+        r = W.reduce_full(terms, G, leads, hulls)
+        if r:
+            update(r)
 
+    # normal selection: smallest lcm in the order
     while pairs:
-        # normal selection: smallest lcm in the order
-        idx = min(range(len(pairs)), key=lambda k: key(pairs[k][0]))
-        lcm, i, j = pairs.pop(idx)
-        s = _spoly(G[i], G[j], W)
+        _, _, lcm, i, j = heappop(pairs)
+        s = _spoly(G[i], G[j], hulls[i], hulls[j], lcm, W)
         if not s:
             continue
-        r = W.reduce_full(s, G, leads)
+        r = W.reduce_full(s.items(), G, leads, hulls)
         if r:
             update(r)
 
     return _interreduce(G, W)
 
 
-def _interreduce(G: List[List[Tuple[Monomial, object]]], W: _Work) -> List[Poly]:
+def _interreduce(G: List[Terms], W: _Work) -> List[Poly]:
     """Minimal then reduced basis; monic, sorted descending by lead."""
-    key = W.order.key
+    x = W.exp
+    guard = W.guard
     F = W.field
     # minimalize: drop elements whose lead is divisible by another lead
-    G = sorted(G, key=lambda g: key(g[0][0]))
-    minimal: List[List[Tuple[Monomial, object]]] = []
+    G = sorted(G, key=lambda g: g[0][0] ^ x)
+    minimal: List[Terms] = []
     for g in G:
         lm = g[0][0]
-        if any(_mono_divides(h[0][0], lm) for h in minimal):
+        if any(not (lm - h[0][0]) & guard for h in minimal):
             continue
         minimal.append(g)
     # tail-reduce each against the others
-    reduced: List[Poly] = []
+    reduced: List[Terms] = []
     leads = [g[0][0] for g in minimal]
+    hulls = [W.hull(g) for g in minimal]
     for k, g in enumerate(minimal):
-        others = [minimal[i] for i in range(len(minimal)) if i != k]
-        other_leads = [leads[i] for i in range(len(minimal)) if i != k]
-        r = W.reduce_full(g, others, other_leads)
+        others = minimal[:k] + minimal[k + 1:]
+        r = W.reduce_full(g, others, leads[:k] + leads[k + 1:], hulls[:k] + hulls[k + 1:])
         if not r:
             continue
         inv = F.inv(r[0][1])
-        r = [(m, F.mul(c, inv)) for m, c in r]
-        reduced.append(W.to_poly(r))
-    hk = W.order.heapkey
-    reduced.sort(key=lambda p: hk(p.lead(W.order)[0]))
-    return reduced
+        reduced.append([(m, F.mul(c, inv)) for m, c in r])
+    reduced.sort(key=lambda r: r[0][0] ^ x, reverse=True)
+    return W.to_polys(reduced)
 
 
 def normal_form(
@@ -311,27 +429,39 @@ def normal_form(
     caps: ResourceCaps = DEFAULT_CAPS,
 ) -> Poly:
     """Remainder of p modulo `basis` under `order`; no term divisible by a lead."""
+    basis = [b for b in basis if not b.is_zero()]
     if p.is_zero() or not basis:
         return p
-    W = _Work(p.ring, order, caps)
-    blists = [W.to_list(b) for b in basis]
-    leads = [b[0][0] for b in blists]
-    return W.to_poly(W.reduce_full(W.to_list(p), blists, leads))
 
+    def run(width):
+        W = _Work(p.ring, order, caps, width)
+        blists, leads, hulls = W.pack_basis(basis)
+        return W.to_polys([W.reduce_full(W.pack(p), blists, leads, hulls)])[0]
 
-def spolynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    W = _Work(f.ring, order, DEFAULT_CAPS)
-    return W.to_poly(_spoly(W.to_list(f), W.to_list(g), W))
+    return _widening(run)
 
 
 def is_groebner_basis(
     basis: Sequence[Poly], order: MonomialOrder, caps: ResourceCaps = DEFAULT_CAPS
 ) -> bool:
-    """Independent S-pair certificate: every S-polynomial reduces to zero."""
+    """Independent S-pair certificate: every S-polynomial reduces to zero.
+
+    Forms and reduces every S-pair, with no pair criterion, so it shares
+    only the reduction with `buchberger`.  The reduction-step cap applies
+    to each S-pair on its own.
+    """
     basis = [b for b in basis if not b.is_zero()]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = spolynomial(basis[i], basis[j], order)
-            if not normal_form(s, basis, order, caps).is_zero():
-                return False
-    return True
+
+    def run(width):
+        W = _Work(basis[0].ring, order, caps, width)
+        blists, leads, hulls = W.pack_basis(basis)
+        for i in range(len(blists)):
+            for j in range(i + 1, len(blists)):
+                lcm = W.layout.lcm(leads[i], leads[j])
+                s = _spoly(blists[i], blists[j], hulls[i], hulls[j], lcm, W)
+                W.steps = 0
+                if s and W.reduce_full(s.items(), blists, leads, hulls):
+                    return False
+        return True
+
+    return not basis or _widening(run)

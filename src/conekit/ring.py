@@ -124,12 +124,20 @@ def family_ambient(n: int) -> AmbientSpace:
 class MonomialOrder:
     """Total multiplicative well-order on monomials, via a sort key.
 
-    Larger key means larger monomial.
+    Larger key means larger monomial.  Every order here is a product of
+    grevlex orders: `grevlex_blocks` lists the blocks, most significant
+    first, each as variable indices from the first slot to the last.
+    Monomials compare by total degree in the first block, then reverse
+    lexicographically on its slots (a smaller exponent in a later slot is
+    larger), then likewise on the next block.
     """
 
     name = "order"
 
     def key(self, m: Monomial):
+        raise NotImplementedError
+
+    def grevlex_blocks(self, nvars: int) -> List[Tuple[int, ...]]:
         raise NotImplementedError
 
     def heapkey(self, m: Monomial):
@@ -161,6 +169,9 @@ class GrevlexOrder(MonomialOrder):
     def heapkey(self, m):
         return (-sum(m), m[::-1])
 
+    def grevlex_blocks(self, nvars):
+        return [tuple(range(nvars))]
+
 
 class LexOrder(MonomialOrder):
     def __init__(self, nvars: int):
@@ -172,6 +183,9 @@ class LexOrder(MonomialOrder):
 
     def heapkey(self, m):
         return tuple(-e for e in m)
+
+    def grevlex_blocks(self, nvars):
+        return [(i,) for i in range(nvars)]
 
 
 class PermutedGrevlexOrder(MonomialOrder):
@@ -197,6 +211,9 @@ class PermutedGrevlexOrder(MonomialOrder):
     def heapkey(self, m):
         pm = tuple(m[i] for i in self.perm)
         return (-sum(pm), pm[::-1])
+
+    def grevlex_blocks(self, nvars):
+        return [self.perm]
 
 
 class BlockElimOrder(MonomialOrder):
@@ -226,6 +243,9 @@ class BlockElimOrder(MonomialOrder):
         a = tuple(m[i] for i in self.elim)
         b = tuple(m[i] for i in self.rest)
         return (-sum(a), a[::-1], -sum(b), b[::-1])
+
+    def grevlex_blocks(self, nvars):
+        return [self.elim, tuple(i for i in range(nvars) if i not in self.elim)]
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,10 @@ def test_criterion_03_special_fiber(preset_name):
     assert emit(3, out.status == PASS, "%s: %s" % (preset_name, out.status))
 
 
-@pytest.mark.parametrize("preset_name", [PRESET_A, PRESET_B])
+@pytest.mark.parametrize("preset_name", [
+    pytest.param(PRESET_A, marks=pytest.mark.slow),
+    pytest.param(PRESET_B, marks=pytest.mark.slow),
+])
 def test_criterion_04_diagonal_component(preset_name):
     out = run("prop-2-1", preset_name)
     if preset_name == PRESET_A:
@@ -167,7 +170,10 @@ def test_criterion_06_covering_degree(preset_name, expected):
                 % (preset_name, out.status, expected, counts, elapsed))
 
 
-@pytest.mark.parametrize("preset_name", [PRESET_A, PRESET_C])
+@pytest.mark.parametrize("preset_name", [
+    pytest.param(PRESET_A, marks=pytest.mark.slow),
+    pytest.param(PRESET_C, marks=pytest.mark.slow),
+])
 def test_criterion_07_family_end_support(preset_name):
     out = run("prop-2-6", preset_name, two_prime=True)
     if preset_name == PRESET_A:

@@ -1,8 +1,15 @@
 """Groebner engine: S-pair certificates, normal forms, resource caps."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+try:
+    import sympy
+except ImportError:  # only the differential test needs it
+    sympy = None
 
 from conekit.fields import DEFAULT_PRIME, PrimeField, QQ
 from conekit.groebner import (
@@ -13,7 +20,14 @@ from conekit.groebner import (
     is_groebner_basis,
     normal_form,
 )
-from conekit.ring import AmbientSpace, BlockElimOrder, GrevlexOrder, LexOrder, PolyRing
+from conekit.ring import (
+    AmbientSpace,
+    BlockElimOrder,
+    GrevlexOrder,
+    LexOrder,
+    PermutedGrevlexOrder,
+    PolyRing,
+)
 
 FP = PrimeField(DEFAULT_PRIME)
 R = PolyRing(AmbientSpace.product(("x", 4)), FP)
@@ -100,3 +114,131 @@ def test_coefficient_bit_cap_raises():
     big = ring.const(QQ.from_int(10**9))
     with pytest.raises(ResourceCapExceeded):
         buchberger([x * x - big * y, x * y - big * big * x + y], GrevlexOrder(2), caps)
+
+
+@pytest.mark.parametrize("order,gens,expected", [
+    # x0^40000 does not fit the first field width
+    (GrevlexOrder(2), ["x0^40000 - x1^40000", "x0*x1^3"],
+     ["x1^40003", "x0^40000 - x1^40000", "x0*x1^3"]),
+    # the inputs fit; the lcm x0^20000*x1^20003 of a later S-pair does not
+    (GrevlexOrder(2), ["x0^20000 - x1^20000", "x0*x1^3"],
+     ["x1^20003", "x0^20000 - x1^20000", "x0*x1^3"]),
+    # the inputs fit; the product x1^20000 * x1^20000 made while reducing does not
+    (LexOrder(2), ["x0 - x1^20000", "x0*x1^20000 - x1"], ["x0 - x1^20000", "x1^40000 - x1"]),
+])
+def test_exponent_overflow_widens_fields(order, gens, expected):
+    """Exponents past the first field width come out exact, not wrapped.
+
+    The bases are worked out by hand.  Grevlex, with f = x0^n - x1^n and
+    g = x0*x1^3: S(f, g) = x1^3*f - x0^(n-1)*g = -x1^(n+3), and every other
+    S-pair reduces to zero.  Lex: x0*x1^20000 - x1 reduces by x0 - x1^20000
+    to x1^40000 - x1, whose lead is coprime to x0.
+    """
+    ring = PolyRing(AmbientSpace.product(("x", 2)), FP)
+    gens = [ring.parse(g) for g in gens]
+    basis = buchberger(gens, order, DEFAULT_CAPS)
+    assert [list(b.terms.items()) for b in basis] == \
+        [list(ring.parse(e).terms.items()) for e in expected]
+    assert is_groebner_basis(basis, order, DEFAULT_CAPS)
+    assert all(normal_form(g, basis, order).is_zero() for g in gens)
+
+
+# Reduced bases of fixed small ideals, one per order class, with each term
+# where the engine puts it: a change of representation must not move any.
+GOLDEN_FP = PrimeField(32003)
+GOLDEN_R = PolyRing(AmbientSpace.product(("x", 4)), GOLDEN_FP)
+GOLDEN_RQ = PolyRing(AmbientSpace.product(("x", 3), affine=("x",)), QQ)
+GOLDEN_CASES = {
+    "grevlex": (GOLDEN_R, GrevlexOrder(4),
+                ["x1^2 - x0*x2", "x2^2 - x1*x3", "x1*x2 - x0*x3", "x0^3 + 5*x1*x2*x3 - x3^3"]),
+    "lex": (GOLDEN_R, LexOrder(4), ["x1^2 - x0*x2", "x2^2 - x1*x3", "x1*x2 - x0*x3"]),
+    "grevlex-perm": (GOLDEN_R, PermutedGrevlexOrder.with_last(4, 0),
+                     ["x0*x1 - x2^2 + 3*x3^2", "x0^2*x3 - x1^3", "x1*x2*x3 - 7*x0^3"]),
+    "elim": (GOLDEN_R, BlockElimOrder([0, 1], 4),
+             ["x0^2 - x2 + x3", "x1^2 - 2*x3", "x0*x1 - x2*x3 + 1"]),
+    "grevlex-qq": (GOLDEN_RQ, GrevlexOrder(3),
+                   ["x0^2 - 1/2*x1 + 3", "x0*x1 - 2/3*x2^2", "x1^2 - x0*x2"]),
+}
+GOLDEN_BASES = {
+    'grevlex': [
+        [((3, 0, 0, 0), 1), ((1, 0, 0, 2), 5), ((0, 0, 0, 3), 32002)],
+        [((0, 2, 0, 0), 1), ((1, 0, 1, 0), 32002)],
+        [((0, 1, 1, 0), 1), ((1, 0, 0, 1), 32002)],
+        [((0, 0, 2, 0), 1), ((0, 1, 0, 1), 32002)],
+    ],
+    'lex': [
+        [((1, 0, 1, 0), 1), ((0, 2, 0, 0), 32002)],
+        [((1, 0, 0, 1), 1), ((0, 1, 1, 0), 32002)],
+        [((0, 1, 0, 1), 1), ((0, 0, 2, 0), 32002)],
+    ],
+    'grevlex-perm': [
+        [((2, 0, 0, 4), 1), ((3, 2, 1, 0), 21333), ((3, 1, 0, 2), 10668)],
+        [((2, 0, 1, 2), 1), ((3, 2, 0, 0), 31996)],
+        [((0, 1, 0, 3), 1), ((1, 2, 0, 1), 10668), ((3, 0, 1, 0), 21333)],
+        [((0, 3, 0, 0), 1), ((2, 0, 0, 1), 32002)],
+        [((0, 1, 1, 1), 1), ((3, 0, 0, 0), 31996)],
+        [((0, 0, 2, 0), 1), ((0, 0, 0, 2), 32000), ((1, 1, 0, 0), 32002)],
+    ],
+    'elim': [
+        [((0, 2, 0, 0), 1), ((0, 0, 0, 1), 32001)],
+        [((1, 0, 0, 0), 1), ((0, 1, 2, 1), 16001), ((0, 1, 1, 0), 16003), ((0, 1, 0, 1), 32002)],
+        [((0, 0, 2, 2), 1), ((0, 0, 1, 1), 31999), ((0, 0, 0, 2), 2), ((0, 0, 0, 0), 1)],
+    ],
+    'grevlex-qq': [
+        [((0, 0, 4), Fraction(1, 1)), ((0, 0, 3), Fraction(-3, 4)), ((1, 0, 1), Fraction(27, 4))],
+        [((1, 0, 2), Fraction(1, 1)), ((1, 0, 1), Fraction(-3, 4)), ((0, 1, 0), Fraction(9, 2))],
+        [((0, 1, 2), Fraction(1, 1)), ((0, 1, 1), Fraction(-3, 4)), ((0, 0, 1), Fraction(9, 2))],
+        [((2, 0, 0), Fraction(1, 1)), ((0, 1, 0), Fraction(-1, 2)), ((0, 0, 0), Fraction(3, 1))],
+        [((1, 1, 0), Fraction(1, 1)), ((0, 0, 2), Fraction(-2, 3))],
+        [((0, 2, 0), Fraction(1, 1)), ((1, 0, 1), Fraction(-1, 1))],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_bases(name):
+    ring, order, gens = GOLDEN_CASES[name]
+    basis = buchberger([ring.parse(g) for g in gens], order, DEFAULT_CAPS)
+    assert [list(b.terms.items()) for b in basis] == GOLDEN_BASES[name]
+
+
+DIFF_P = 101
+DIFF_R = PolyRing(AmbientSpace.product(("x", 3), affine=("x",)), PrimeField(DIFF_P))
+DIFF_ORDERS = [GrevlexOrder(3), LexOrder(3), PermutedGrevlexOrder([2, 0, 1]),
+               PermutedGrevlexOrder.with_last(3, 1)]
+
+
+def diff_polys():
+    monos = st.tuples(*[st.integers(0, 2)] * 3)
+    pairs = st.lists(st.tuples(monos, st.integers(1, DIFF_P - 1)), min_size=1, max_size=3)
+    return pairs.map(lambda ps: DIFF_R.from_terms({m: c for m, c in ps}))
+
+
+def sympy_basis(gens, order):
+    """sympy's reduced basis as a set of monic term sets in DIFF_R."""
+    xs = sympy.symbols("x0:3")
+    slots = order.perm if isinstance(order, PermutedGrevlexOrder) else range(3)
+    name = "lex" if isinstance(order, LexOrder) else "grevlex"
+    exprs = [sum(c * xs[0] ** m[0] * xs[1] ** m[1] * xs[2] ** m[2] for m, c in g.terms.items())
+             for g in gens]
+    G = sympy.groebner(exprs, *[xs[i] for i in slots], order=name, modulus=DIFF_P)
+    out = set()
+    for P in G.polys:
+        terms = {}
+        for monom, c in P.terms():
+            m = [0, 0, 0]
+            for slot, e in zip(slots, monom):
+                m[slot] = e
+            terms[tuple(m)] = int(c) % DIFF_P
+        out.add(frozenset(DIFF_R.from_terms(terms).monic(order).terms.items()))
+    return out
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(max_examples=100, deadline=None)
+@given(gens=st.lists(diff_polys(), min_size=1, max_size=3),
+       k=st.integers(0, len(DIFF_ORDERS) - 1))
+def test_buchberger_matches_sympy(gens, k):
+    order = DIFF_ORDERS[k]
+    basis = buchberger(gens, order, DEFAULT_CAPS)
+    assert {frozenset(b.terms.items()) for b in basis} == sympy_basis(gens, order)
