@@ -32,7 +32,7 @@ from .ideals import (
     saturate_by_poly,
 )
 from .linalg import determinant
-from .ring import AmbientSpace, Block, Poly, PolyRing
+from .ring import AmbientSpace, Block, Poly, PolyRing, RingError
 from .scheme import (
     Cycle,
     MultiplicityReport,
@@ -68,6 +68,12 @@ class ConeData:
             raise ConeDataError("need n >= 2")
         if not 1 <= self.h <= self.n:
             raise ConeDataError("need 1 <= h <= n")
+        try:
+            f = self.f_in(self.ring(self.ambient_x()))
+        except RingError as exc:
+            raise ConeDataError("f: %s" % exc)
+        if f.is_zero() or not f.is_multihomogeneous():
+            raise ConeDataError("f must be a nonzero homogeneous form in x0..x%d" % (self.nx - 1))
 
     # ambient spaces -------------------------------------------------------
 

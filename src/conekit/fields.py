@@ -209,101 +209,6 @@ class PrimeField(Field):
         return self.from_int(int(s))
 
 
-class QuadraticExtension(Field):
-    """F_{p^2} = F_p[s]/(s^2 - nonresidue); elements are (a, b) = a + b*s.
-
-    Only what zero-dimensional point finding needs.
-    """
-
-    def __init__(self, base: PrimeField):
-        self.base = base
-        self.p = base.p
-        self.nonresidue = self._find_nonresidue()
-        self.name = "Fp2:%d" % base.p
-
-    def _find_nonresidue(self) -> int:
-        p = self.p
-        if p == 2:
-            raise FieldError("F_4 not supported")
-        for c in range(2, p):
-            if pow(c, (p - 1) // 2, p) == p - 1:
-                return c
-        raise FieldError("no quadratic nonresidue found")
-
-    def embed(self, a: int):
-        return (a, 0)
-
-    def sqrt_of(self, a: int):
-        """A square root of base element a, always exists in F_{p^2}."""
-        p = self.p
-        if a == 0:
-            return (0, 0)
-        if pow(a, (p - 1) // 2, p) == 1:
-            return (self._base_sqrt(a), 0)
-        # a = nonresidue * square
-        b = a * pow(self.nonresidue, p - 2, p) % p
-        return (0, self._base_sqrt(b))
-
-    def _base_sqrt(self, a: int) -> int:
-        # Tonelli-Shanks
-        p = self.p
-        if p % 4 == 3:
-            return pow(a, (p + 1) // 4, p)
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = self.nonresidue
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-        return r
-
-    def add(self, a, b):
-        return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.p)
-
-    def sub(self, a, b):
-        return ((a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p)
-
-    def mul(self, a, b):
-        p, ns = self.p, self.nonresidue
-        return (
-            (a[0] * b[0] + ns * a[1] * b[1]) % p,
-            (a[0] * b[1] + a[1] * b[0]) % p,
-        )
-
-    def neg(self, a):
-        return ((-a[0]) % self.p, (-a[1]) % self.p)
-
-    def inv(self, a):
-        p, ns = self.p, self.nonresidue
-        n = (a[0] * a[0] - ns * a[1] * a[1]) % p
-        if n == 0:
-            if a == (0, 0):
-                raise ZeroDivisionError("inverse of zero in %s" % self.name)
-            raise FieldError("norm zero for nonzero element (bad nonresidue?)")
-        ninv = pow(n, p - 2, p)
-        return (a[0] * ninv % p, (-a[1]) * ninv % p)
-
-    def is_zero(self, a):
-        return a == (0, 0)
-
-    def from_int(self, n):
-        return (n % self.p, 0)
-
-    def sample(self, rng):
-        return (rng.randrange(self.p), rng.randrange(self.p))
-
-    def coeff_str(self, a):
-        return "%d+%d*s" % a
-
-
 DEFAULT_PRIME = 31991
 SECOND_PRIME = 32003
 
@@ -329,7 +234,7 @@ class FieldConfig:
         """Parse 'Q' or 'Fp:31991'."""
         if spec == "Q":
             return cls(kind="rationals", seed=seed)
-        if spec.startswith("Fp:"):
+        if spec.startswith("Fp:") and spec[3:].isdigit():
             return cls(kind="prime-field", p=int(spec[3:]), seed=seed)
         raise FieldError("unknown field spec %r" % spec)
 
@@ -350,21 +255,3 @@ class FieldConfig:
     def spec(self) -> str:
         return "Q" if self.kind == "rationals" else "Fp:%d" % self.p
 
-
-def field_arith(field: Field, a, b, op: str):
-    """Dispatch a binary field operation by name."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError("unknown op %r" % op)
-
-
-def sample_scalar(cfg: FieldConfig, stream: random.Random = None):
-    """One deterministic draw from the configured field."""
-    rng = stream if stream is not None else cfg.rng("sample")
-    return cfg.field().sample(rng)

@@ -26,6 +26,23 @@ holds the block's total degree.  While no guard bit is set:
 
 No key is stored with a monomial; each S-pair keeps the key of its lcm.
 
+The basis (`_Basis`).  Every basis element is stored monic, so reducing a
+term `c*m` by an element with lead `lm` subtracts `c * (m/lm) * g`, and the
+S-polynomial of two elements is the difference of their shifted tails.  A
+lead can divide `m` only if its variable support lies inside `m`'s, so the
+basis keeps, for each support mask the reducer has met, the list of
+elements whose lead support lies inside it, in basis order (Bachmann &
+Schoenemann, "Monomial representations for Groebner bases computations",
+ISSAC 1998).  A list is made when its mask is first met, and an element
+appended later joins every list whose mask holds its lead support; so the
+first dividing lead in basis order is the one chosen, as a scan of all
+leads would choose it.
+
+Coefficients are plain Python numbers under Python operators.  Over F_p a
+pending coefficient may be any int; it is reduced by one `% p` when its
+term is popped, and the reducer's output is reduced.  Over Q the values
+are `Fraction`s, which are always canonical, and no `%` is taken.
+
 Exponents never overflow silently.  A polynomial is packed only if its
 total degree fits in a field.  Each basis element keeps the bitwise OR of its
 terms, which bounds every field of every term; a product whose bound, or an
@@ -38,10 +55,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import chain
 from operator import mul, or_
 from typing import Dict, List, Sequence, Tuple
 
+from .fields import PrimeField
 from .ring import Monomial, MonomialOrder, Poly, PolyRing
 
 
@@ -68,6 +86,9 @@ DEFAULT_CAPS = ResourceCaps()
 _FIRST_WIDTH = 16
 
 Terms = List[Tuple[int, object]]
+# a monic basis element: (lead monomial, tail monomials, tail coefficients,
+# hull); two flat tuples take less memory than one tuple per term
+Elem = Tuple[int, Tuple[int, ...], tuple, int]
 
 
 class _Overflow(Exception):
@@ -139,6 +160,34 @@ def _layout(order: MonomialOrder, nvars: int, width: int) -> _Layout:
     return layout
 
 
+class _Basis:
+    """Monic basis elements in the order they were added, with candidate divisors.
+
+    `table` maps the support mask of a monomial to the elements whose lead
+    support lies inside the mask, in basis order.  Elements are only ever
+    appended, and each joins the end of every list it belongs to.
+    """
+
+    def __init__(self, layout: _Layout):
+        self.support = layout.support
+        self.elems: List[Elem] = []
+        self.supports: List[int] = []
+        self.table: Dict[int, List[Elem]] = {}
+
+    def append(self, e: Elem) -> None:
+        sup = self.support(e[0])
+        self.elems.append(e)
+        self.supports.append(sup)
+        for s, cands in self.table.items():
+            if not sup & ~s:
+                cands.append(e)
+
+    def candidates(self, s: int) -> List[Elem]:
+        """The list of mask `s`, made and entered in the table on first use."""
+        cands = self.table[s] = [e for e, sup in zip(self.elems, self.supports) if not sup & ~s]
+        return cands
+
+
 class _Work:
     """Mutable reduction workspace for one Groebner run at one field width."""
 
@@ -146,6 +195,8 @@ class _Work:
         self.ring = ring
         self.caps = caps
         self.field = ring.field
+        # the modulus of the coefficient arithmetic; 0 over Q, where nothing is reduced
+        self.p = self.field.p if isinstance(self.field, PrimeField) else 0
         self.layout = _layout(order, ring.nvars, width)
         self.exp = self.layout.exp
         self.guard = self.layout.guard
@@ -160,10 +211,21 @@ class _Work:
         return sorted(((sum(map(mul, m, w)), c) for m, c in p.terms.items()),
                       key=lambda t: t[0] ^ x, reverse=True)
 
-    def pack_basis(self, basis: Sequence[Poly]) -> Tuple[List[Terms], List[int], List[int]]:
-        """Packed basis elements, their leads and their hulls, for reduce_full."""
-        blists = [self.pack(b) for b in basis]
-        return blists, [b[0][0] for b in blists], [self.hull(b) for b in blists]
+    def element(self, terms: Terms) -> Elem:
+        """The basis element of `terms`, divided by its lead coefficient."""
+        ms, cs = zip(*terms)
+        if cs[0] != 1:
+            F = self.field
+            inv = F.inv(cs[0])
+            cs = [F.mul(c, inv) for c in cs]
+        return ms[0], ms[1:], tuple(cs[1:]), reduce(or_, ms)
+
+    def pack_basis(self, basis: Sequence[Poly]) -> _Basis:
+        """The basis packed for reduce_full, each element made monic."""
+        B = _Basis(self.layout)
+        for b in basis:
+            B.append(self.element(self.pack(b)))
+        return B
 
     def to_polys(self, polys: Sequence[Terms]) -> List[Poly]:
         """Unpacked polynomials; a monomial in several of them is one shared tuple."""
@@ -180,11 +242,6 @@ class _Work:
             out.append(Poly(self.ring, d))
         return out
 
-    @staticmethod
-    def hull(terms: Terms) -> int:
-        """Bitwise OR of the monomials: each field is at least every term's."""
-        return reduce(or_, (m for m, _ in terms))
-
     def check_bits(self, terms):
         F = self.field
         cap = self.caps.max_coeff_bits
@@ -192,98 +249,87 @@ class _Work:
             if F.coeff_bits(c) > cap:
                 raise ResourceCapExceeded("coefficient-bits")
 
-    def reduce_full(self, terms, basis: Sequence[Terms], leads: Sequence[int],
-                    hulls: Sequence[int]) -> Terms:
+    def reduce_full(self, terms, basis: _Basis, skip: int = None) -> Terms:
         """Full normal form of `terms` modulo `basis`, sorted descending; monic not enforced.
 
-        `terms` is any iterable of (monomial, coefficient) pairs.  Each basis
-        element has its lead term first; `leads` and `hulls` hold its lead
-        monomial and its hull.
+        `terms` is any iterable of (monomial, coefficient) pairs; over F_p a
+        coefficient may be any int.  The element whose lead is `skip` is
+        not used as a divisor.
         """
-        F = self.field
-        is_zero, div, fmul, neg, sub = F.is_zero, F.div, F.mul, F.neg, F.sub
+        p = self.p
         x = self.exp
         guard = self.guard
+        exp_guard = self.layout.exp_guard
         cap = self.caps.max_reduction_steps
         steps = self.steps
+        table = basis.table
+        candidates = basis.candidates
         work: Dict[int, object] = dict(terms)
         out: Terms = []
-        # max-heap of candidate monomials as negated keys, with lazy deletion:
-        # `work` is authoritative, stale heap entries are skipped on pop.
+        # max-heap of the pending monomials as negated keys.  A reduction only
+        # adds monomials below the one popped, so each is pushed once.  A
+        # coefficient that has cancelled (mod p) is dropped when popped.
         # Pops come in descending order, so `out` is sorted.
         heap = [-(m ^ x) for m in work]
         heapify(heap)
         while heap:
             m = -heappop(heap) ^ x
-            c = work.pop(m, None)
-            if c is None or is_zero(c):
+            c = work.pop(m)
+            if p:
+                c %= p
+            if not c:
                 continue
             steps += 1
             if steps > cap:
                 raise ResourceCapExceeded("reduction-steps", str(steps))
-            for lm, g, h in zip(leads, basis, hulls):
-                if (m - lm) & guard:
-                    continue
+            s = ((m & x) + x) & exp_guard
+            cands = table.get(s)
+            if cands is None:
+                cands = candidates(s)
+            for lm, tm, tc, h in cands:
                 q = m - lm
+                if q & guard or lm == skip:
+                    continue
                 if (h + q) & guard:
                     raise _Overflow
-                factor = div(c, g[0][1])
-                # work -= factor * q * g; the head cancels by construction
-                for gm, gc in islice(g, 1, None):
+                # work -= c * q * g; g is monic, so its lead cancels c*m
+                nc = -c
+                for gm, gc in zip(tm, tc):
                     mm = gm + q
-                    s = fmul(factor, gc)
                     cur = work.get(mm)
                     if cur is None:
-                        nv = neg(s)
-                        if not is_zero(nv):
-                            work[mm] = nv
-                            heappush(heap, -(mm ^ x))
+                        work[mm] = nc * gc
+                        heappush(heap, -(mm ^ x))
                     else:
-                        nv = sub(cur, s)
-                        if is_zero(nv):
-                            del work[mm]
-                        else:
-                            work[mm] = nv
-                steps += len(g)
+                        work[mm] = cur + nc * gc
+                steps += len(tm) + 1
                 if steps > cap:
                     raise ResourceCapExceeded("reduction-steps", str(steps))
                 break
             else:
                 out.append((m, c))
         self.steps = steps
-        self.check_bits(out)
+        if not p:  # a residue mod p counts 1 bit, under every positive cap
+            self.check_bits(out)
         return out
 
 
-def _spoly(f: Terms, g: Terms, hf: int, hg: int, lcm: int, W: _Work) -> Dict[int, object]:
-    """S-polynomial of f and g, whose leads have lcm `lcm` and whose hulls are hf, hg.
+def _spoly(f: Elem, g: Elem, lcm: int, guard: int) -> Dict[int, object]:
+    """S-polynomial of the monic elements f and g, whose leads have lcm `lcm`.
 
+    The leads cancel and are left out; coefficients over F_p are not reduced.
     Raises _Overflow if a product, the lcm among them, could leave its field.
     """
-    F = W.field
-    lmf, lcf = f[0]
-    lmg, lcg = g[0]
+    lmf, mf, cf, hf = f
+    lmg, mg, cg, hg = g
     qf = lcm - lmf
     qg = lcm - lmg
-    if ((hf + qf) | (hg + qg)) & W.guard:
+    if ((hf + qf) | (hg + qg)) & guard:
         raise _Overflow
-    terms: Dict[int, object] = {}
-    inv_f = F.inv(lcf)
-    inv_g = F.inv(lcg)
-    for m, c in f:
-        terms[m + qf] = F.mul(c, inv_f)
-    for m, c in g:
+    terms = {m + qf: c for m, c in zip(mf, cf)}
+    for m, c in zip(mg, cg):
         mm = m + qg
-        cur = terms.get(mm)
-        v = F.mul(c, inv_g)
-        if cur is None:
-            terms[mm] = F.neg(v)
-        else:
-            nv = F.sub(cur, v)
-            if F.is_zero(nv):
-                del terms[mm]
-            else:
-                terms[mm] = nv
+        terms[mm] = terms.get(mm, 0) - c
     return terms
 
 
@@ -318,12 +364,10 @@ def _buchberger(gens: Sequence[Poly], W: _Work) -> List[Poly]:
     x = W.exp
     guard = W.guard
     lcm_of = W.layout.lcm
-    support = W.layout.support
 
-    G: List[Terms] = []
-    leads: List[int] = []
-    hulls: List[int] = []
-    supports: List[int] = []
+    B = _Basis(W.layout)
+    G = B.elems
+    supports = B.supports
     # heap of (key of lcm, seq, lcm, i, j); seq counts insertions, so among
     # equal lcms the pair installed first is selected first
     pairs: List[Tuple[int, int, int, int, int]] = []
@@ -336,10 +380,11 @@ def _buchberger(gens: Sequence[Poly], W: _Work) -> List[Poly]:
         lm_new = new_terms[0][0]
         # candidate pairs with existing elements; the divisibility tests
         # below are exact only while no lcm sets a guard bit
-        lcms = [lcm_of(lm, lm_new) for lm in leads]
+        lcms = [lcm_of(e[0], lm_new) for e in G]
         for lcm in lcms:
             if lcm & guard:
                 raise _Overflow
+        B.append(W.element(new_terms))
         # discard old pairs whose lcm is a proper multiple of new lead
         pairs = [
             pr for pr in pairs
@@ -360,16 +405,12 @@ def _buchberger(gens: Sequence[Poly], W: _Work) -> List[Poly]:
             if lcm not in seen:
                 seen[lcm] = i
         # criterion B (product criterion): drop coprime-lead pairs
-        s_new = support(lm_new)
+        s_new = supports[t]
         for lcm, i in seen.items():
             if supports[i] & s_new:
                 pairs.append((lcm ^ x, seq, lcm, i, t))
                 seq += 1
         heapify(pairs)
-        G.append(new_terms)
-        leads.append(lm_new)
-        hulls.append(W.hull(new_terms))
-        supports.append(s_new)
         if len(G) > caps.max_basis:
             raise ResourceCapExceeded("basis-size", str(len(G)))
         if len(pairs) > caps.max_pairs:
@@ -377,47 +418,38 @@ def _buchberger(gens: Sequence[Poly], W: _Work) -> List[Poly]:
 
     # seed with interreduced inputs (cheap: just normal forms against earlier)
     for terms in sorted((W.pack(g) for g in gens), key=lambda t: t[0][0] ^ x):
-        r = W.reduce_full(terms, G, leads, hulls)
+        r = W.reduce_full(terms, B)
         if r:
             update(r)
 
     # normal selection: smallest lcm in the order
     while pairs:
         _, _, lcm, i, j = heappop(pairs)
-        s = _spoly(G[i], G[j], hulls[i], hulls[j], lcm, W)
+        s = _spoly(G[i], G[j], lcm, guard)
         if not s:
             continue
-        r = W.reduce_full(s.items(), G, leads, hulls)
+        r = W.reduce_full(s.items(), B)
         if r:
             update(r)
 
     return _interreduce(G, W)
 
 
-def _interreduce(G: List[Terms], W: _Work) -> List[Poly]:
+def _interreduce(G: Sequence[Elem], W: _Work) -> List[Poly]:
     """Minimal then reduced basis; monic, sorted descending by lead."""
     x = W.exp
     guard = W.guard
-    F = W.field
     # minimalize: drop elements whose lead is divisible by another lead
-    G = sorted(G, key=lambda g: g[0][0] ^ x)
-    minimal: List[Terms] = []
-    for g in G:
-        lm = g[0][0]
-        if any(not (lm - h[0][0]) & guard for h in minimal):
+    minimal = _Basis(W.layout)
+    for e in sorted(G, key=lambda e: e[0] ^ x):
+        if any(not (e[0] - d[0]) & guard for d in minimal.elems):
             continue
-        minimal.append(g)
-    # tail-reduce each against the others
-    reduced: List[Terms] = []
-    leads = [g[0][0] for g in minimal]
-    hulls = [W.hull(g) for g in minimal]
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        r = W.reduce_full(g, others, leads[:k] + leads[k + 1:], hulls[:k] + hulls[k + 1:])
-        if not r:
-            continue
-        inv = F.inv(r[0][1])
-        reduced.append([(m, F.mul(c, inv)) for m, c in r])
+        minimal.append(e)
+    # tail-reduce each against the others; no other lead divides its lead,
+    # so the lead survives with coefficient 1
+    one = W.field.one
+    reduced = [W.reduce_full(chain([(lm, one)], zip(tm, tc)), minimal, skip=lm)
+               for lm, tm, tc, _ in minimal.elems]
     reduced.sort(key=lambda r: r[0][0] ^ x, reverse=True)
     return W.to_polys(reduced)
 
@@ -435,8 +467,7 @@ def normal_form(
 
     def run(width):
         W = _Work(p.ring, order, caps, width)
-        blists, leads, hulls = W.pack_basis(basis)
-        return W.to_polys([W.reduce_full(W.pack(p), blists, leads, hulls)])[0]
+        return W.to_polys([W.reduce_full(W.pack(p), W.pack_basis(basis))])[0]
 
     return _widening(run)
 
@@ -454,13 +485,13 @@ def is_groebner_basis(
 
     def run(width):
         W = _Work(basis[0].ring, order, caps, width)
-        blists, leads, hulls = W.pack_basis(basis)
-        for i in range(len(blists)):
-            for j in range(i + 1, len(blists)):
-                lcm = W.layout.lcm(leads[i], leads[j])
-                s = _spoly(blists[i], blists[j], hulls[i], hulls[j], lcm, W)
+        B = W.pack_basis(basis)
+        lcm = W.layout.lcm
+        for i, f in enumerate(B.elems):
+            for g in B.elems[i + 1:]:
+                s = _spoly(f, g, lcm(f[0], g[0]), W.guard)
                 W.steps = 0
-                if s and W.reduce_full(s.items(), blists, leads, hulls):
+                if s and W.reduce_full(s.items(), B):
                     return False
         return True
 

@@ -21,8 +21,8 @@ from .checks import (
     CheckOutcome,
     run_check_two_prime,
 )
-from .cone import ConeData, PRESETS, certify_genericity, preset
-from .fields import FieldConfig
+from .cone import ConeData, ConeDataError, PRESETS, certify_genericity, preset
+from .fields import FieldConfig, FieldError
 from .groebner import DEFAULT_CAPS, ResourceCaps
 from .ideals import EngineContext
 
@@ -64,6 +64,10 @@ class ScenarioConfig:
             self.caps.max_reduction_steps,
         ) <= 0:
             raise ConfigError("resource caps must be positive")
+        try:
+            self.cone_data()
+        except (ConeDataError, FieldError) as exc:
+            raise ConfigError(str(exc))
 
     def cone_data(self) -> ConeData:
         cfg = FieldConfig.parse(self.field)

@@ -255,6 +255,29 @@ def test_cli_verify_config_error_exit_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cone_data,message", [
+    ({"n": 2, "h": 1, "f": "x0^2 + x1"}, "f must be a nonzero homogeneous form in x0..x3"),
+    ({"n": 2, "h": 1, "f": "x0^2 + q7^2"}, "f: unknown variable 'q7'"),
+    ({"n": 2, "h": 1, "f": "0"}, "f must be a nonzero homogeneous form in x0..x3"),
+    ({"n": 1, "h": 1, "f": "x0^2"}, "need n >= 2"),
+])
+def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
+    # before validation these ended in a traceback and exit 1, the code that means FAIL
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"cone-data": cone_data, "checks": ["expansion-g"]}))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    with pytest.raises(ConfigError):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("spec", ["Fp:4", "Fp:x", "Z"])
+def test_cli_verify_bad_field_exit_2(spec, capsys):
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g", "--field", spec])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--cap-basis", "--cap-bits"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_cli_verify_nonpositive_cap_exit_2(flag, value, capsys):

@@ -29,6 +29,9 @@ def test_cone_data_validation():
         cone.ConeData(n=1, h=1, f_text="x0^2", field_cfg=CFG)
     with pytest.raises(cone.ConeDataError):
         cone.ConeData(n=3, h=4, f_text="x0^2", field_cfg=CFG)
+    for f_text in ("x0^2 + x1", "x0^2 + q7^2", "x0 - x0", "x0^2 +"):
+        with pytest.raises(cone.ConeDataError):
+            cone.ConeData(n=2, h=1, f_text=f_text, field_cfg=CFG)
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)

@@ -1,5 +1,6 @@
 """Groebner engine: S-pair certificates, normal forms, resource caps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,73 @@ def test_buchberger_matches_sympy(gens, k):
     order = DIFF_ORDERS[k]
     basis = buchberger(gens, order, DEFAULT_CAPS)
     assert {frozenset(b.terms.items()) for b in basis} == sympy_basis(gens, order)
+
+
+# Where the reduction-step cap stops a run, recorded before the reducer was
+# rewritten around candidate lists and a monic basis: the cap counts
+# reduction steps, so a faster reducer must stop at the same count.
+STEP_R = PolyRing(AmbientSpace.product(("x", 4)), PrimeField(32003))
+STEP_IDEALS = {
+    "cubic": ["x1^2 - x0*x2", "x2^2 - x1*x3", "x1*x2 - x0*x3", "x0^3 + 5*x1*x2*x3 - x3^3"],
+    "cyclic4": ["x0 + x1 + x2 + x3", "x0*x1 + x1*x2 + x2*x3 + x3*x0",
+                "x0*x1*x2 + x1*x2*x3 + x2*x3*x0 + x3*x0*x1", "x0*x1*x2*x3 - 1"],
+    "mixed": ["x0^2*x1 - 3*x2^3 + x3", "x1^2*x2 - x0*x3^2 + 7", "x0*x2*x3 - x1^3 + 2*x0"],
+}
+STEP_ORDERS = {"grevlex": GrevlexOrder(4), "lex": LexOrder(4), "elim": BlockElimOrder([0, 1], 4)}
+STEP_CAPS = (10, 50, 200, 1000, 4000)
+# ResourceCapExceeded.detail at each cap of STEP_CAPS; None: the run finishes
+STEP_DETAILS = {
+    ("cubic", "grevlex"): ["11", None, None, None, None],
+    ("cubic", "lex"): ["11", "51", "201", None, None],
+    ("cubic", "elim"): ["11", "51", None, None, None],
+    ("cyclic4", "grevlex"): ["11", "53", "201", None, None],
+    ("cyclic4", "lex"): ["14", "53", "201", None, None],
+    ("cyclic4", "elim"): ["11", "53", "206", None, None],
+    ("mixed", "grevlex"): ["11", "51", "203", None, None],
+    ("mixed", "lex"): ["11", "53", "201", "1031", "4001"],
+    ("mixed", "elim"): ["11", "51", "201", "1002", "4014"],
+}
+
+
+@pytest.mark.parametrize("ideal,order", sorted(STEP_DETAILS))
+def test_reduction_step_cap_details(ideal, order):
+    gens = [STEP_R.parse(g) for g in STEP_IDEALS[ideal]]
+    details = []
+    for cap in STEP_CAPS:
+        try:
+            buchberger(gens, STEP_ORDERS[order], ResourceCaps(max_reduction_steps=cap))
+            details.append(None)
+        except ResourceCapExceeded as exc:
+            assert exc.what == "reduction-steps"
+            details.append(exc.detail)
+    assert details == STEP_DETAILS[(ideal, order)]
+
+
+def scaled(polys, field, rng):
+    """Each polynomial times a random nonzero constant."""
+    out = []
+    for g in polys:
+        c = field.from_int(rng.randint(1, 10**6)) if field is QQ else rng.randrange(1, field.p)
+        if field is QQ:
+            c = c / rng.randint(1, 97)
+        out.append(g.ring.from_terms({m: field.mul(c, v) for m, v in g.terms.items()}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_non_monic_basis_same_results(name):
+    """The engine makes its basis monic itself: scaling the elements changes nothing."""
+    ring, order, gens = GOLDEN_CASES[name]
+    gens = [ring.parse(g) for g in gens]
+    basis = buchberger(gens, order, DEFAULT_CAPS)
+    rng = random.Random(name)
+    probes = [g * h for g in gens for h in gens] + [g + ring.one() for g in basis]
+    for _ in range(3):
+        other = scaled(basis, ring.field, rng)
+        assert any(b.lead(order)[1] != ring.field.one for b in other)
+        assert is_groebner_basis(other, order, DEFAULT_CAPS)
+        assert is_groebner_basis(scaled(gens, ring.field, rng), order, DEFAULT_CAPS) == \
+            is_groebner_basis(gens, order, DEFAULT_CAPS)
+        for p in probes:
+            assert normal_form(p, other, order) == normal_form(p, basis, order)
+        assert buchberger(scaled(gens, ring.field, rng), order, DEFAULT_CAPS) == basis
