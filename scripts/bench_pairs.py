@@ -3,15 +3,14 @@
 
 Usage (from the repository root):
 
-    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 \\
-        --workloads engine-gb,light-sweep --out BENCH_6.json
+    python3 scripts/bench_pairs.py --base HEAD~1 --pairs 10 --traced --out BENCH_6.json
 
 The base tree is `git archive <base>` unpacked into a temporary directory.
 The change tree is the working tree of this repository, or `git archive
 <change>` when --change is given.  Pair k runs `perfbench/run.py` once in
-each tree, with seed first-seed + k, for every workload; even pairs run the
-base first and odd pairs the change first, so a drift in machine speed
-falls on both sides.
+each tree, with seed first-seed + k, for every workload that BENCHMARK.json
+lists and for its `run_seconds`; even pairs run the base first and odd pairs
+the change first, so a drift in machine speed falls on both sides.
 
 The output JSON holds every run's metrics, and per workload and metric the
 median and quartiles of each side and the number of pairs the change won,
@@ -117,25 +116,25 @@ def main(argv=None) -> int:
     ap.add_argument("--base", required=True, help="git revision of the base tree")
     ap.add_argument("--change", help="git revision of the change tree (default: the working tree)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", default="light-sweep,light-warm-cache,engine-gb")
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--traced", action="store_true",
                     help="add one traced run per side and workload at the first seed")
     ap.add_argument("--out", required=True, help="path of the JSON to write")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    workloads = [w for w in args.workloads.split(",") if w]
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"base": os.path.join(tmp, "base")}
         record = {
             "protocol": {
-                "pairs": args.pairs, "first_seed": args.first_seed, "seconds": args.seconds,
+                "pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds,
                 "order": "even pairs run the base first, odd pairs the change first",
                 "python": platform.python_version(), "nproc": os.cpu_count(),
             },
@@ -162,14 +161,13 @@ def main(argv=None) -> int:
             sides = ("base", "change") if k % 2 == 0 else ("change", "base")
             for w in workloads:
                 for side in sides:
-                    r = run_once(trees[side], w, seed, args.seconds, 0)
+                    r = run_once(trees[side], w, seed, seconds, 0)
                     runs[w][side].append(r)
                     print("pair %d %s %s: %s" % (k + 1, w, side, r.get("metrics", r.get("error"))),
                           file=sys.stderr, flush=True)
             write()
         if args.traced:
-            record["traced"] = {w: {side: run_once(trees[side], w, args.first_seed,
-                                                   args.seconds, 1)
+            record["traced"] = {w: {side: run_once(trees[side], w, args.first_seed, seconds, 1)
                                     for side in ("base", "change")} for w in workloads}
             write()
     return 0
