@@ -4,7 +4,7 @@ saturation and elimination, and the cone-degeneration verification checks."""
 __version__ = "0.1.0"
 
 from .fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField, QQ
-from .ring import AmbientSpace, Block, Poly, PolyRing, family_ambient
+from .ring import AmbientSpace, Block, Poly, PolyRing
 from .groebner import DEFAULT_CAPS, ResourceCapExceeded, ResourceCaps
 from .ideals import EngineContext, Ideal
 
@@ -23,5 +23,4 @@ __all__ = [
     "ResourceCapExceeded",
     "ResourceCaps",
     "SECOND_PRIME",
-    "family_ambient",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from .cone import (
     ConeData,
@@ -19,7 +19,6 @@ from .cone import (
     GenericityReport,
     certify_genericity,
     cone_family_end,
-    cone_operator_image,
     covering_degree_report,
     delta_point_on,
     expansion_pencil,
@@ -83,12 +82,12 @@ def _point_delta_on_x(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
 
 
 def _point_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
-    V = section_scheme(cd, ctx, "h")
+    V = section_scheme(cd, ctx)
     return delta_point_on(V, ctx)
 
 
 def _line_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
-    V = section_scheme(cd, ctx, "h")
+    V = section_scheme(cd, ctx)
     return line_on_surface(V, ctx)
 
 

@@ -11,9 +11,8 @@ from typing import List, Optional
 
 from .cache import BasisCache
 from .checks import CHECK_ORDER, CHECKS
-from .fields import FieldConfig
+from .fields import FieldConfig, FieldError
 from .groebner import DEFAULT_CAPS, ResourceCaps, buchberger
-from .ideals import Ideal
 from .report import (
     ConfigError,
     ScenarioConfig,
@@ -28,6 +27,7 @@ from .ring import (
     GrevlexOrder,
     LexOrder,
     PolyRing,
+    RingError,
     poly_str,
 )
 
@@ -59,10 +59,6 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     )
 
 
-def _run_one(cfg: ScenarioConfig) -> dict:
-    return run_scenario(cfg)
-
-
 def cmd_verify(args) -> int:
     try:
         configs = [_apply_overrides(load_scenario(s), args) for s in args.scenario]
@@ -73,7 +69,7 @@ def cmd_verify(args) -> int:
         import multiprocessing
 
         with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
-            reports = pool.map(_run_one, configs)
+            reports = pool.map(run_scenario, configs)
     else:
         reports = [run_scenario(c) for c in configs]
     any_fail = False
@@ -135,9 +131,9 @@ def cmd_cache(args) -> int:
 def _ring_from_ideal_file(data: dict) -> PolyRing:
     try:
         blocks = [(str(b[0]), int(b[1])) for b in data["blocks"]]
-        field = FieldConfig.parse(data.get("field", "Q")).field()
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError("ideal file needs blocks [[name, size], ...]: %s" % exc)
+    field = FieldConfig.parse(data.get("field", "Q")).field()
     affine = tuple(data.get("affine", ()))
     return PolyRing(AmbientSpace.product(*blocks, affine=affine), field)
 
@@ -148,7 +144,7 @@ def cmd_gb(args) -> int:
             data = json.load(fh)
         ring = _ring_from_ideal_file(data)
         gens = [ring.parse(t) for t in data["gens"]]
-    except (OSError, json.JSONDecodeError, KeyError, ConfigError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, ConfigError, FieldError, RingError) as exc:
         print("cannot load ideal: %s" % exc, file=sys.stderr)
         return 2
     if args.order == "lex":
@@ -157,6 +153,11 @@ def cmd_gb(args) -> int:
         order = GrevlexOrder(ring.nvars)
     elif args.order.startswith("elim:"):
         blocks = args.order[len("elim:"):].split(",")
+        names = {b.name for b in ring.ambient.blocks}
+        unknown = [b for b in blocks if b not in names]
+        if unknown:
+            print("unknown block %r in order %r" % (unknown[0], args.order), file=sys.stderr)
+            return 2
         order = BlockElimOrder.for_blocks(ring.ambient, blocks)
     else:
         print("unknown order %r (lex | grevlex | elim:block)" % args.order, file=sys.stderr)

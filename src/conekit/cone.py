@@ -27,15 +27,12 @@ from .ideals import (
     ideal_equal,
     linear_forms_in,
     multisaturate,
-    radical_member,
     saturate,
     saturate_by_poly,
 )
 from .linalg import determinant
 from .ring import AmbientSpace, Block, Poly, PolyRing, RingError
 from .scheme import (
-    Cycle,
-    MultiplicityReport,
     RationalMapSpec,
     SchemeError,
     Subscheme,
@@ -44,6 +41,7 @@ from .scheme import (
     graph_closure,
     is_component,
     join,
+    point_forms,
     random_point,
     union_certify,
 )
@@ -118,13 +116,13 @@ class ConeData:
         renames = {"x%d" % i: "%s%d" % (block, i) for i in range(self.nx)}
         return self.f_in(src).map_vars(renames, ring)
 
-    def section_form(self, ring: PolyRing, block: str) -> Poly:
-        """f restricted to the subspace x_{n+2-h} = ... = x_{n+1} = 0,
-        written in the first n+2-h variables of `block`."""
+    def section_form(self, ring: PolyRing, block: str, kept: Sequence[int]) -> Poly:
+        """f restricted to the subspace where every x_i with i not in `kept`
+        is 0, with the k-th kept coordinate renamed to the k-th variable of
+        `block`."""
         src = self.ring(self.ambient_x(), ring.field)
-        f = self.f_in(src)
-        zeroed = f.substitute({"x%d" % i: 0 for i in range(self.pivot, self.nx)})
-        renames = {"x%d" % i: "%s%d" % (block, i) for i in range(self.pivot)}
+        zeroed = self.f_in(src).substitute({"x%d" % i: 0 for i in range(self.nx) if i not in kept})
+        renames = {"x%d" % i: "%s%d" % (block, k) for k, i in enumerate(kept)}
         return zeroed.map_vars(renames, ring)
 
 
@@ -312,25 +310,11 @@ def expansion_pencil(cd: ConeData) -> PencilReport:
     x = ring.block_vars("x")
     f = cd.f_on_block(ring, "x")
     p = cd.pivot
-
-    def partial(g: Poly, idx: int) -> Poly:
-        F = ring.field
-        out = {}
-        vi = ring.ambient.var_index("x%d" % idx)
-        for m, c in g.terms.items():
-            e = m[vi]
-            if e:
-                nm = list(m)
-                nm[vi] = e - 1
-                key = tuple(nm)
-                add = F.mul(c, F.from_int(e))
-                out[key] = F.add(out.get(key, F.zero), add)
-        return ring.from_terms(out)
-
-    A = x[p] * partial(f, 0)
+    x0 = ring.ambient.var_index("x0")
+    A = x[p] * _partial(ring, f, x0)
     B = ring.zero()
     for i in range(p, cd.nx):
-        B = B + x[i] * partial(f, i)
+        B = B + x[i] * _partial(ring, f, x0 + i)
     pencil = z0 * A - z1 * B
     nonzero = not pencil.is_zero()
     if A.is_zero() or B.is_zero():
@@ -384,13 +368,8 @@ class GenericityReport:
 
 def _section_smooth(cd: ConeData, kept: Sequence[int], ctx: EngineContext) -> bool:
     """Smoothness of f restricted to the subspace of the kept coordinates."""
-    amb = AmbientSpace.product(("x", len(kept)))
-    ring = cd.ring(amb)
-    src = cd.ring(cd.ambient_x(), ring.field)
-    f = cd.f_in(src)
-    zero_sub = {"x%d" % i: 0 for i in range(cd.nx) if i not in kept}
-    renames = {"x%d" % i: "x%d" % k for k, i in enumerate(kept)}
-    g = f.substitute(zero_sub).map_vars(renames, ring)
+    ring = cd.ring(AmbientSpace.product(("x", len(kept))))
+    g = cd.section_form(ring, "x", kept)
     if g.is_zero():
         return False
     gens = [g]
@@ -462,10 +441,6 @@ class ConeSchemes:
         return self._cache[key]
 
     @property
-    def master_ring(self) -> PolyRing:
-        return self._get("master_ring", lambda: self.cd.ring(self.cd.ambient_master()))
-
-    @property
     def omega(self) -> Subscheme:
         return self._get("omega", lambda: build_graph_scheme(self.cd, self.ctx))
 
@@ -514,7 +489,7 @@ class ConeSchemes:
             G = self.projection_graph
             ring = G.ring
             fx = self.cd.f_on_block(ring, "x")
-            fy = self.cd.section_form(ring, "y")
+            fy = self.cd.section_form(ring, "y", range(self.cd.pivot))
             return G.ideal.with_extra([fx, fy])
 
         return self._get("operator_ideal", build)
@@ -896,18 +871,7 @@ def delta_point_on(
     pt = random_point(S, ctx, trials=trials)
     if pt is None:
         return None
-    ring = S.ring
-    F = ring.field
-    blk = S.ambient.blocks[0].name
-    vals = [F.from_int(c) if isinstance(c, int) else c for c in pt.coords]
-    gens = []
-    idx = list(S.ambient.block_range(blk))
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            g = ring.var_by_index(idx[a]).scale(vals[b]) - ring.var_by_index(idx[b]).scale(vals[a])
-            if not g.is_zero():
-                gens.append(g)
-    return Ideal(ring, gens)
+    return Ideal(S.ring, point_forms(S.ring, pt.block, pt.coords))
 
 
 def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
@@ -918,7 +882,6 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     the prime field.  Sufficient for the diagonal-type surfaces used in
     the preset scenarios; returns None when no such line exists.
     """
-    from .fields import PrimeField
     from .scheme import _univariate_roots
 
     ring = S.ring
@@ -997,18 +960,9 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     return None
 
 
-def section_scheme(cd: ConeData, ctx: EngineContext, which: str = "h") -> Subscheme:
+def section_scheme(cd: ConeData, ctx: EngineContext) -> Subscheme:
     """The codim-h plane section of the hypersurface, inside its own
-    projective subspace ("h"), or the complementary one ("rest")."""
-    if which == "h":
-        kept = list(range(cd.pivot))
-    else:
-        kept = [0] + list(range(cd.pivot, cd.nx))
-    amb = AmbientSpace.product(("y", len(kept)))
-    ring = cd.ring(amb)
-    src = cd.ring(cd.ambient_x(), ring.field)
-    f = cd.f_in(src)
-    zeroed = f.substitute({"x%d" % i: 0 for i in range(cd.nx) if i not in kept})
-    renames = {"x%d" % i: "y%d" % k for k, i in enumerate(kept)}
-    g = zeroed.map_vars(renames, ring)
+    projective subspace x_{n+2-h} = ... = x_{n+1} = 0."""
+    ring = cd.ring(AmbientSpace.product(("y", cd.pivot)))
+    g = cd.section_form(ring, "y", range(cd.pivot))
     return Subscheme.saturated(Ideal(ring, [g]), ctx)

@@ -7,6 +7,7 @@ objects carry the operations, so polynomials stay lightweight.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +19,13 @@ class FieldError(Exception):
 
 class MixedFieldError(FieldError):
     pass
+
+
+def seeded_rng(seed: int, *tag) -> random.Random:
+    """Deterministic per-purpose stream, decoupled from other draws."""
+    # hash() on strings is salted per process; derive a stable seed
+    digest = hashlib.sha256(repr((seed,) + tag).encode()).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def is_prime(n: int) -> bool:
@@ -244,12 +252,7 @@ class FieldConfig:
         return PrimeField(self.p)
 
     def rng(self, *tag) -> random.Random:
-        """Deterministic per-purpose stream, decoupled from other draws."""
-        # hash() on strings is salted per process; derive a stable seed
-        import hashlib
-
-        digest = hashlib.sha256(repr((self.seed,) + tag).encode()).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        return seeded_rng(self.seed, *tag)
 
     @property
     def spec(self) -> str:

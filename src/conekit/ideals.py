@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import BasisCache, basis_request_key
+from .fields import seeded_rng
 from .groebner import (
     DEFAULT_CAPS,
-    ResourceCapExceeded,
     ResourceCaps,
     buchberger,
     normal_form,
@@ -30,7 +30,6 @@ from .ring import (
     PermutedGrevlexOrder,
     Poly,
     PolyRing,
-    RingError,
     poly_str,
 )
 
@@ -115,11 +114,7 @@ class EngineContext:
     _memo: Dict[tuple, List[Poly]] = dc_field(default_factory=dict, repr=False)
 
     def rng(self, *tag) -> random.Random:
-        # hash() on strings is salted per process; derive a stable seed
-        import hashlib
-
-        digest = hashlib.sha256(repr((self.seed,) + tag).encode()).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
+        return seeded_rng(self.seed, *tag)
 
     def groebner(self, ideal: Ideal, order: Optional[MonomialOrder] = None) -> List[Poly]:
         """Reduced Groebner basis, memoized in-process and on disk."""
@@ -179,7 +174,7 @@ def is_unit_ideal(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
 # ring plumbing: fresh auxiliary variables, moving ideals between rings
 
 
-def _fresh_block_name(ambient: AmbientSpace, base: str) -> str:
+def fresh_block_name(ambient: AmbientSpace, base: str) -> str:
     names = {b.name for b in ambient.blocks}
     name = base
     while name in names:
@@ -189,7 +184,7 @@ def _fresh_block_name(ambient: AmbientSpace, base: str) -> str:
 
 def _with_aux_var(ring: PolyRing, base: str) -> Tuple[PolyRing, Poly, str]:
     """Extend by one affine auxiliary variable; return (ring, var, block name)."""
-    name = _fresh_block_name(ring.ambient, base)
+    name = fresh_block_name(ring.ambient, base)
     ext = ring.ambient.extend(Block(name, 1, projective=False))
     ring2 = PolyRing(ext, ring.field)
     return ring2, ring2.var(name + "0"), name
@@ -262,7 +257,11 @@ def exact_div(p: Poly, g: Poly) -> Poly:
 
 
 def quotient_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
-    """Colon ideal (I : g) = (I ∩ (g)) / g."""
+    """Colon ideal (I : g) = (I ∩ (g)) / g.
+
+    No library code calls it: the tests' iterated-colon oracle does, and
+    perfbench/tracer.py wraps it by name.
+    """
     if g.is_zero():
         raise IdealError("colon by zero")
     meet = intersect(ideal, Ideal(ideal.ring, [g]), ctx)
@@ -279,18 +278,6 @@ def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT
     gens.append(ring2.one() - u * ring2.convert(g))
     elim = eliminate(Ideal(ring2, gens), [block], ctx)
     return move_ideal(elim, ring)
-
-
-def saturate_by_poly_iterated(
-    ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT
-) -> Ideal:
-    """(I : g^∞) by iterating the colon until it stabilizes (oracle route)."""
-    cur = ideal
-    while True:
-        nxt = quotient_by_poly(cur, g, ctx)
-        if contains_ideal(cur, nxt, ctx):
-            return cur
-        cur = nxt
 
 
 def _var_power_content(p: Poly, idx: int) -> int:
@@ -376,31 +363,18 @@ def saturate_by_linear_form(
     return Ideal(ring, [g.substitute({pname: back}) for g in sat.gens])
 
 
-def saturate_block(
-    ideal: Ideal,
-    block: str,
-    ctx: EngineContext = DEFAULT_CONTEXT,
-    method: str = "linear",
-) -> Ideal:
+def saturate_block(ideal: Ideal, block: str, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
     """Saturation by the irrelevant ideal of one block, (I : (v_0..v_k)^∞).
 
-    method="linear": one divide-out pass against a seeded random linear
-    form of the block — equal to the true block saturation with high
-    probability (the form must avoid every associated prime that does
-    not contain the whole block).
-    method="exact": the intersection ∩_i (I : v_i^∞), which is exact.
+    One divide-out pass against a seeded random linear form of the block:
+    equal to the true block saturation with high probability (the form
+    must avoid every associated prime that does not contain the whole
+    block).
     """
     ring = ideal.ring
     names = [ring.ambient.varnames[i] for i in ring.ambient.block_range(block)]
     if len(names) == 1:
         return saturate_by_var(ideal, names[0], ctx)
-    if method == "exact":
-        out = saturate_by_var(ideal, names[0], ctx)
-        for n in names[1:]:
-            out = intersect(out, saturate_by_var(ideal, n, ctx), ctx)
-        return out
-    if method != "linear":
-        raise IdealError("unknown saturation method %r" % method)
     rng = ctx.rng("saturate-block", block, ideal.key())
     form = _random_block_linear(ring, block, rng)
     return saturate_by_linear_form(ideal, form, ctx)
@@ -410,14 +384,13 @@ def multisaturate(
     ideal: Ideal,
     ctx: EngineContext = DEFAULT_CONTEXT,
     blocks: Optional[Sequence[str]] = None,
-    method: str = "linear",
 ) -> Ideal:
     """Saturate by the irrelevant ideal of every (listed) projective block."""
     if blocks is None:
         blocks = [b.name for b in ideal.ambient.projective_blocks]
     cur = ideal
     for b in blocks:
-        cur = saturate_block(cur, b, ctx, method=method)
+        cur = saturate_block(cur, b, ctx)
     return cur
 
 
@@ -445,37 +418,24 @@ def _equalize_multidegree(
     return out
 
 
-def saturate(
-    ideal: Ideal,
-    target: Ideal,
-    ctx: EngineContext = DEFAULT_CONTEXT,
-    method: str = "random",
-) -> Ideal:
+def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
     """(I : J^∞) for an arbitrary finitely generated J.
 
-    method="random": cur = I : c0^∞ for a random J-combination c0 of
-    common multidegree, then a stability test against a fresh combination
-    h: nxt = cur : h^∞, and cur is returned when nxt ⊆ cur.  Since
+    cur = I : c0^∞ for a random J-combination c0 of common multidegree,
+    then a stability test against a fresh combination h: nxt = cur : h^∞,
+    and cur is returned when nxt ⊆ cur.  Since
     cur ⊆ cur : h ⊆ cur : h^∞, the three tests cur : h ⊆ cur,
     cur : h^∞ = cur and cur : h^∞ ⊆ cur are equivalent, so the second
     saturation certifies exactly what the colon cur : h would, at the cost
     of one 1 - u*h elimination instead of an intersection.  When the test
     fails, cur becomes nxt and a new h is drawn.  Correct with high
     probability: the test cannot see a component that c0 already removed.
-    method="exact": ∩_g (I : g^∞) over the generators of J.
     """
     if target.is_zero():
         raise IdealError("saturation by the zero ideal")
     gens = list(target.gens)
     if len(gens) == 1:
         return saturate_by_poly(ideal, gens[0], ctx)
-    if method == "exact":
-        out = saturate_by_poly(ideal, gens[0], ctx)
-        for g in gens[1:]:
-            out = intersect(out, saturate_by_poly(ideal, g, ctx), ctx)
-        return out
-    if method != "random":
-        raise IdealError("unknown saturation method %r" % method)
     F = ideal.ring.field
     tag = ("saturate", ideal.key(), target.key())
 
@@ -677,64 +637,6 @@ def hilbert_data(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> HilbertD
         degree=sum(num),
         numerator=tuple(num),
     )
-
-
-def dimension(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> int:
-    return hilbert_data(ideal, ctx).dimension
-
-
-def degree(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> int:
-    return hilbert_data(ideal, ctx).degree
-
-
-# ---------------------------------------------------------------------------
-# zero-dimensional counting
-
-
-def zero_dim_count(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> Optional[int]:
-    """dim_k R/I when finite (the staircase is bounded), else None.
-
-    Counts standard monomials, i.e. solutions with multiplicity over the
-    algebraic closure for a zero-dimensional affine system.
-    """
-    ring = ideal.ring
-    basis = ctx.groebner(ideal)
-    if any(b.is_constant() and not b.is_zero() for b in basis):
-        return 0
-    order = GrevlexOrder(ring.nvars)
-    leads = [b.lead(order)[0] for b in basis]
-    leads = _minimalize_monomials(leads)
-    bounds = [None] * ring.nvars
-    for m in leads:
-        support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
-        return None
-    count = 0
-    cur = [0] * ring.nvars
-
-    def blocked(upto: int) -> bool:
-        for m in leads:
-            if all(m[i] <= cur[i] if i <= upto else m[i] == 0 for i in range(ring.nvars)):
-                return True
-        return False
-
-    def walk(i: int):
-        nonlocal count
-        if i == ring.nvars:
-            count += 1
-            return
-        for e in range(bounds[i]):
-            cur[i] = e
-            if not blocked(i):
-                walk(i + 1)
-        cur[i] = 0
-
-    walk(0)
-    return count
 
 
 # ---------------------------------------------------------------------------

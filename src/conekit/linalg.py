@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .fields import Field
 
@@ -52,47 +52,6 @@ def kernel_basis(field: Field, rows: Matrix, ncols: int) -> List[List[object]]:
             v[pc] = field.neg(red[r][fc])
         basis.append(v)
     return basis
-
-
-def solve(field: Field, rows: Matrix, rhs: List[object]) -> Optional[List[object]]:
-    """One solution of rows @ v = rhs, or None."""
-    if not rows:
-        return [] if all(field.is_zero(b) for b in rhs) else None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(field, aug)
-    v = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None  # pivot in rhs column: inconsistent
-        v[pc] = red[r][ncols]
-    return v
-
-
-def invert(field: Field, rows: Matrix) -> Optional[Matrix]:
-    n = len(rows)
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [r[n:] for r in red[:n]]
-
-
-def mat_mul(field: Field, a: Matrix, b: Matrix) -> Matrix:
-    return [
-        [
-            _dot(field, row, [b[k][j] for k in range(len(b))])
-            for j in range(len(b[0]))
-        ]
-        for row in a
-    ]
-
-
-def _dot(field: Field, u, v):
-    acc = field.zero
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 def determinant(field: Field, rows: Matrix):

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from . import __version__
 from .cache import BasisCache
@@ -18,7 +18,6 @@ from .checks import (
     CHECK_ORDER,
     CHECKS,
     FAIL,
-    CheckOutcome,
     run_check_two_prime,
 )
 from .cone import ConeData, ConeDataError, PRESETS, certify_genericity, preset
@@ -82,14 +81,15 @@ class ScenarioConfig:
         if not isinstance(d, dict):
             raise ConfigError("scenario config must be a JSON object")
         caps_d = d.get("caps", {})
-        caps = ResourceCaps(
-            max_basis=caps_d.get("max-basis", DEFAULT_CAPS.max_basis),
-            max_pairs=caps_d.get("max-pairs", DEFAULT_CAPS.max_pairs),
-            max_coeff_bits=caps_d.get("max-coeff-bits", DEFAULT_CAPS.max_coeff_bits),
-            max_reduction_steps=caps_d.get(
-                "max-reduction-steps", DEFAULT_CAPS.max_reduction_steps
-            ),
-        )
+        if not isinstance(caps_d, dict):
+            raise ConfigError("caps must be a JSON object")
+        caps = {}
+        for key in ("max-basis", "max-pairs", "max-coeff-bits", "max-reduction-steps"):
+            attr = key.replace("-", "_")
+            value = caps_d.get(key, getattr(DEFAULT_CAPS, attr))
+            if type(value) is not int:
+                raise ConfigError("cap %r must be an integer, not %r" % (key, value))
+            caps[attr] = value
         lit = None
         if "cone-data" in d:
             cdd = d["cone-data"]
@@ -97,13 +97,17 @@ class ScenarioConfig:
                 lit = (int(cdd["n"]), int(cdd["h"]), str(cdd["f"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("cone-data needs integer n, h and text f: %s" % exc)
+        try:
+            seed = int(d.get("seed", 0))
+        except (TypeError, ValueError):
+            raise ConfigError("seed must be an integer, not %r" % (d["seed"],))
         return cls(
             preset_name=d.get("preset"),
             cone_literal=lit,
             field=d.get("field", "Fp:31991"),
             checks=tuple(d.get("checks", CHECK_ORDER)),
-            seed=int(d.get("seed", 0)),
-            caps=caps,
+            seed=seed,
+            caps=ResourceCaps(**caps),
             cache_dir=d.get("cache-dir"),
             out_path=d.get("out"),
             timings=bool(d.get("timings", False)),

@@ -9,7 +9,7 @@ ring.  Orders include grevlex, lex, and block elimination orders.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field
@@ -112,41 +112,29 @@ class AmbientSpace:
         )
 
 
-def family_ambient(n: int) -> AmbientSpace:
-    """P^1(t) x Upsilon(z) x P^(n+1)(x) x P^(n+1)(y)."""
-    return AmbientSpace.product(("t", 2), ("z", 2), ("x", n + 2), ("y", n + 2))
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on monomials, via a sort key.
+    """Total multiplicative well-order on monomials, via `heapkey`.
 
-    Larger key means larger monomial.  Every order here is a product of
-    grevlex orders: `grevlex_blocks` lists the blocks, most significant
-    first, each as variable indices from the first slot to the last.
-    Monomials compare by total degree in the first block, then reverse
-    lexicographically on its slots (a smaller exponent in a later slot is
-    larger), then likewise on the next block.
+    A smaller heapkey means a larger monomial, so an ascending sort by
+    heapkey lists monomials from the largest down.  Every order here is a
+    product of grevlex orders: `grevlex_blocks` lists the blocks, most
+    significant first, each as variable indices from the first slot to the
+    last.  Monomials compare by total degree in the first block, then
+    reverse lexicographically on its slots (a smaller exponent in a later
+    slot is larger), then likewise on the next block.
     """
 
     name = "order"
 
-    def key(self, m: Monomial):
+    def heapkey(self, m: Monomial):
         raise NotImplementedError
 
     def grevlex_blocks(self, nvars: int) -> List[Tuple[int, ...]]:
         raise NotImplementedError
-
-    def heapkey(self, m: Monomial):
-        """Order-reversing key: ascending heapkey = descending order."""
-
-        def neg(k):
-            return tuple(neg(x) for x in k) if isinstance(k, tuple) else -k
-
-        return neg(self.key(m))
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.name == other.name
@@ -163,9 +151,6 @@ class GrevlexOrder(MonomialOrder):
         self.nvars = nvars
         self.name = "grevlex"
 
-    def key(self, m):
-        return (sum(m), tuple(-e for e in reversed(m)))
-
     def heapkey(self, m):
         return (-sum(m), m[::-1])
 
@@ -177,9 +162,6 @@ class LexOrder(MonomialOrder):
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.name = "lex"
-
-    def key(self, m):
-        return m
 
     def heapkey(self, m):
         return tuple(-e for e in m)
@@ -204,10 +186,6 @@ class PermutedGrevlexOrder(MonomialOrder):
         perm = [i for i in range(nvars) if i != last] + [last]
         return cls(perm)
 
-    def key(self, m):
-        pm = tuple(m[i] for i in self.perm)
-        return (sum(pm), tuple(-e for e in reversed(pm)))
-
     def heapkey(self, m):
         pm = tuple(m[i] for i in self.perm)
         return (-sum(pm), pm[::-1])
@@ -228,16 +206,6 @@ class BlockElimOrder(MonomialOrder):
     def for_blocks(cls, ambient: AmbientSpace, blocks: Iterable[str]) -> "BlockElimOrder":
         idx = [i for b in blocks for i in ambient.block_range(b)]
         return cls(idx, ambient.nvars)
-
-    def key(self, m):
-        a = tuple(m[i] for i in self.elim)
-        b = tuple(m[i] for i in self.rest)
-        return (
-            sum(a),
-            tuple(-e for e in reversed(a)),
-            sum(b),
-            tuple(-e for e in reversed(b)),
-        )
 
     def heapkey(self, m):
         a = tuple(m[i] for i in self.elim)
@@ -448,9 +416,10 @@ class Poly:
 
     # structure ----------------------------------------------------------
 
-    def sorted_terms(self, order: Optional[MonomialOrder] = None) -> List[Tuple[Monomial, object]]:
-        order = order or self.ring.order
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def sorted_terms(self) -> List[Tuple[Monomial, object]]:
+        """Terms from the largest monomial down, in the ring's grevlex order."""
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=self.ring.order.heapkey)]
 
     def lead(self, order: MonomialOrder) -> Tuple[Monomial, object]:
         if not self.terms:
@@ -513,12 +482,6 @@ class Poly:
         _, c = self.lead(order)
         F = self.ring.field
         return self.scale(F.inv(c))
-
-    def max_coeff_bits(self) -> int:
-        F = self.ring.field
-        if not self.terms:
-            return 0
-        return max(F.coeff_bits(c) for c in self.terms.values())
 
     # substitution -------------------------------------------------------
 
@@ -609,9 +572,6 @@ def taylor_shift_coefficient(p: Poly, tvar: str, r: int) -> Poly:
     ring = p.ring
     i = ring.ambient.var_index(tvar)
     # p(t) = sum_e c_e(x) t^e ;  substitute t = 1 + s, expand, read coeff of s^r
-    maxdeg = 0
-    for m in p.terms:
-        maxdeg = max(maxdeg, m[i])
     from math import comb
 
     F = ring.field
@@ -635,21 +595,6 @@ def taylor_shift_coefficient(p: Poly, tvar: str, r: int) -> Poly:
             if not F.is_zero(add):
                 out[key] = add
     return Poly(ring, out)
-
-
-def taylor_reconstruct(p: Poly, tvar: str) -> Poly:
-    """sum_r (t-1)^r * shift_r(p); identity used as a self-check."""
-    ring = p.ring
-    t = ring.var(tvar)
-    i = ring.ambient.var_index(tvar)
-    maxdeg = max((m[i] for m in p.terms), default=0)
-    acc = ring.zero()
-    tm1 = t - ring.one()
-    power = ring.one()
-    for r in range(maxdeg + 1):
-        acc = acc + power * taylor_shift_coefficient(p, tvar, r)
-        power = power * tm1
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Geometry vocabulary over the engine: subschemes of products of
 projective spaces, graph closures of rational maps, fibers, component
-certification, cycles with multiplicities, joins, and point search.
+certification, multiplicities, joins, and point search.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,18 +14,17 @@ from .ideals import (
     EngineContext,
     HilbertData,
     Ideal,
-    IdealError,
     contains_ideal,
     eliminate,
+    fresh_block_name,
     hilbert_data,
     intersect,
     multisaturate,
     radical_equal,
     radical_member,
     saturate,
-    zero_dim_count,
 )
-from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, RingError
+from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing
 
 
 class SchemeError(Exception):
@@ -82,16 +80,6 @@ class Subscheme:
     def is_empty(self, ctx: EngineContext) -> bool:
         return self.dimension(ctx) < 0
 
-    def to_record(self, ctx: Optional[EngineContext] = None) -> dict:
-        rec = {
-            "ambient": [[b.name, b.size, b.projective] for b in self.ambient.blocks],
-            "generators": self.ideal.gen_strs(),
-        }
-        if ctx is not None:
-            rec["dimension"] = self.dimension(ctx)
-            rec["degree"] = self.degree(ctx)
-        return rec
-
     def __repr__(self):
         return "Subscheme(%d gens in %r)" % (len(self.ideal.gens), self.ambient)
 
@@ -122,20 +110,6 @@ class RationalMapSpec:
         degs = [f.multidegree() for f in self.forms if not f.is_zero()]
         if any(d is None for d in degs) or any(d != degs[0] for d in degs):
             raise SchemeError("map forms must share one multidegree")
-
-
-@dataclass
-class Cycle:
-    """Formal sum of subschemes with rational multiplicities, equidimensional."""
-
-    components: List[Tuple[Subscheme, Fraction]]
-    dimension: int
-
-    def degree(self, ctx: EngineContext) -> Fraction:
-        return sum((m * c.degree(ctx) for c, m in self.components), Fraction(0))
-
-    def is_empty(self) -> bool:
-        return not self.components
 
 
 @dataclass
@@ -185,7 +159,7 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
 # fibers
 
 
-def _point_forms(ring: PolyRing, block: str, coords: Sequence) -> List[Poly]:
+def point_forms(ring: PolyRing, block: str, coords: Sequence) -> List[Poly]:
     """Linear forms cutting out one point of the named block."""
     F = ring.field
     vals = [c if not isinstance(c, int) else F.from_int(c) for c in coords]
@@ -224,7 +198,7 @@ def fiber(
     ring = S.ring
     forms = []
     for block, coords in at.items():
-        forms.extend(_point_forms(ring, block, coords))
+        forms.extend(point_forms(ring, block, coords))
     cut = S.ideal.with_extra(forms)
     if project:
         # saturate the blocks being dropped first, else the image closure
@@ -307,10 +281,6 @@ def component_multiplicity(
     )
 
 
-def cycle_degree(c: Cycle, ctx: EngineContext) -> Fraction:
-    return c.degree(ctx)
-
-
 # ---------------------------------------------------------------------------
 # join
 
@@ -328,8 +298,8 @@ def join(A: Subscheme, B: Subscheme, ctx: EngineContext) -> Subscheme:
         raise SchemeError("join needs a single projective factor")
     blk = amb.blocks[0]
     n = blk.size
-    p_name = _unique_name(amb, "jp")
-    q_name = _unique_name(amb, "jq")
+    p_name = fresh_block_name(amb, "jp")
+    q_name = fresh_block_name(amb, "jq")
     big = AmbientSpace(
         (blk, Block(p_name, n, projective=True), Block(q_name, n, projective=True))
     )
@@ -360,14 +330,6 @@ def join(A: Subscheme, B: Subscheme, ctx: EngineContext) -> Subscheme:
     return Subscheme.saturated(
         Ideal(target, [target.convert(g) for g in out.gens]), ctx
     )
-
-
-def _unique_name(amb: AmbientSpace, base: str) -> str:
-    names = {b.name for b in amb.blocks}
-    name = base
-    while name in names:
-        name += "_"
-    return name
 
 
 def _det3(r0: List[Poly], r1: List[Poly], r2: List[Poly], cols: Tuple[int, int, int]) -> Poly:

@@ -271,6 +271,21 @@ def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("extra,message", [
+    ({"seed": "abc"}, "seed must be an integer, not 'abc'"),
+    ({"caps": {"max-basis": "x"}}, "cap 'max-basis' must be an integer, not 'x'"),
+    ({"caps": []}, "caps must be a JSON object"),
+])
+def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message):
+    # each of these ended in a traceback and exit 1, the code that means FAIL
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(dict({"preset": "quadric-s2-h1", "checks": ["expansion-g"]}, **extra)))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    with pytest.raises(ConfigError):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("spec", ["Fp:4", "Fp:x", "Z"])
 def test_cli_verify_bad_field_exit_2(spec, capsys):
     rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g", "--field", spec])
@@ -381,3 +396,19 @@ def test_cli_gb_elim_order(tmp_path, capsys):
     assert main(["gb", "--ideal", str(ideal), "--order", "elim:t"]) == 0
     out = capsys.readouterr().out
     assert "v0^3" in out.replace(" ", "") or "v1^2" in out.replace(" ", "")
+
+
+@pytest.mark.parametrize("ideal,order,message", [
+    ({"blocks": [["x", 2]], "field": "Fp:31991", "gens": ["x0^2 + q7"]}, "grevlex",
+     "cannot load ideal: unknown variable 'q7'"),
+    ({"blocks": [["x", 2]], "field": "Fp:4", "gens": ["x0^2"]}, "grevlex",
+     "cannot load ideal: modulus 4 is not prime"),
+    ({"blocks": [["x", 2]], "field": "Fp:31991", "gens": ["x0^2"]}, "elim:nosuch",
+     "unknown block 'nosuch' in order 'elim:nosuch'"),
+])
+def test_cli_gb_bad_input_exit_2(tmp_path, capsys, ideal, order, message):
+    # each of these ended in a traceback and exit 1
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(ideal))
+    assert main(["gb", "--ideal", str(path), "--order", order]) == 2
+    assert capsys.readouterr().err == message + "\n"

@@ -217,11 +217,14 @@ def test_line_on_surface_none_when_absent():
 
 def test_section_scheme_lives_in_subspace():
     cd = cone.preset("cubic-3f-h2", CFG)
-    sec = cone.section_scheme(cd, CTX, which="h")
+    sec = cone.section_scheme(cd, CTX)
     assert sec.ring.nvars == cd.nx - cd.h
     assert sec.dimension(CTX) == cd.nx - cd.h - 2
-    rest = cone.section_scheme(cd, CTX, which="rest")
-    assert rest.ring.nvars == cd.h + 1
+    # the complementary section, in its own h + 1 coordinates
+    kept = [0] + list(range(cd.pivot, cd.nx))
+    ring = cd.ring(AmbientSpace.product(("y", len(kept))))
+    rest = cd.section_form(ring, "y", kept)
+    assert poly_str(rest) == "y0^3 + y1^3 + y2^3"
 
 
 def test_delta_point_on_hypersurface():

@@ -1,0 +1,33 @@
+"""Report bytes pinned across commits.
+
+The sha256 of each report of the seven light checks (every check but the
+heavy prop-2-1 and prop-2-6) on the three presets at both standard primes,
+seed 0.  A change that is meant to keep reports byte-identical must keep
+these hashes; one that changes a report on purpose records new ones.
+"""
+
+import hashlib
+
+import pytest
+
+from conekit.checks import CHECK_ORDER
+from conekit.fields import DEFAULT_PRIME, SECOND_PRIME
+from conekit.report import ScenarioConfig, report_bytes, run_scenario
+
+LIGHT_CHECKS = tuple(c for c in CHECK_ORDER if c not in ("prop-2-1", "prop-2-6"))
+
+PINNED = {
+    ("cubic-3f-h1", DEFAULT_PRIME): "53cea1754bb3ed9f8c1674dea740ebb42828c785a4d33deddc238e4ec9efa434",
+    ("cubic-3f-h1", SECOND_PRIME): "937502b0feaccfe72bca418bfcab9712ba8b50d231ca6f5d421145419a5c5efa",
+    ("cubic-3f-h2", DEFAULT_PRIME): "4d26556166ea8961c6ff6f37abebfab92fae6fc41ef0afb01c04860b59346a58",
+    ("cubic-3f-h2", SECOND_PRIME): "e46811bacb174c61af045da119f6df0b642db86a9309a679b3d6bd6819850aa0",
+    ("quadric-s2-h1", DEFAULT_PRIME): "1867853e10388acae85a7a22517d6baec21c2c20a345c5c6d2acfdbfff464958",
+    ("quadric-s2-h1", SECOND_PRIME): "0062e71b20dc468bdce1fedab939247a1db71f44162c456f8a8728ea27c0be46",
+}
+
+
+@pytest.mark.parametrize("preset,prime", sorted(PINNED))
+def test_light_report_bytes_pinned(preset, prime):
+    cfg = ScenarioConfig(preset_name=preset, field="Fp:%d" % prime, checks=LIGHT_CHECKS, seed=0)
+    digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
+    assert digest == PINNED[(preset, prime)]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import groebner
 from conekit.fields import DEFAULT_PRIME, PrimeField, QQ
 from conekit.ring import (
     AmbientSpace,
@@ -201,29 +202,36 @@ def test_parse_division_by_zero_coefficient():
 
 
 @given(p=polys())
-def test_heapkey_reverses_key(p):
-    # ascending heapkey must sort exactly like descending key
+def test_heapkey_matches_packed_key(p):
+    # ascending heapkey must sort exactly like the Groebner engine's packed
+    # order key m ^ EXP, largest monomial first
     for order in (GrevlexOrder(3), LexOrder(3), PermutedGrevlexOrder.with_last(3, 0),
                   BlockElimOrder([0], 3)):
+        layout = groebner._layout(order, 3, 16)
+
+        def packed_key(m):
+            return sum(e * w for e, w in zip(m, layout.weights)) ^ layout.exp
+
         monos = list(p.terms)
-        a = sorted(monos, key=order.key, reverse=True)
+        a = sorted(monos, key=packed_key, reverse=True)
         b = sorted(monos, key=order.heapkey)
         assert a == b
 
 
 def test_grevlex_vs_lex_disagree():
-    # x0*x2^2 vs x1^2*x2: grevlex prefers lower last exponent at equal degree
+    # x0*x2^2 vs x1^2*x2: grevlex prefers lower last exponent at equal degree,
+    # lex looks at x0 first (a smaller heapkey is a larger monomial)
     g, l = GrevlexOrder(3), LexOrder(3)
     a, b = (1, 0, 2), (0, 2, 1)
-    assert (g.key(a) > g.key(b)) != (l.key(a) > l.key(b)) or g.key(a) > g.key(b)
-    assert l.key(a) > l.key(b)  # lex looks at x0 first
+    assert g.heapkey(b) < g.heapkey(a)
+    assert l.heapkey(a) < l.heapkey(b)
 
 
 def test_block_elim_order_separates():
     amb = AmbientSpace.product(("u", 1), ("x", 2))
     order = BlockElimOrder.for_blocks(amb, ["u"])
     # any monomial containing u beats any u-free monomial
-    assert order.key((1, 0, 0)) > order.key((0, 5, 5))
+    assert order.heapkey((1, 0, 0)) < order.heapkey((0, 5, 5))
 
 
 def test_multidegree_blocks():
