@@ -77,17 +77,17 @@ def _gens_text(ideal: Ideal, limit: int = 12) -> List[str]:
 
 def _point_delta_on_x(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
     ring = cd.ring(cd.ambient_x())
-    X = Subscheme.saturated(Ideal(ring, [cd.f_in(ring)]), ctx)
+    X = Subscheme(Ideal(ring, [cd.f_in(ring)]))  # (b)
     return delta_point_on(X, ctx)
 
 
 def _point_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
-    V = section_scheme(cd, ctx)
+    V = section_scheme(cd)
     return delta_point_on(V, ctx)
 
 
 def _line_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
-    V = section_scheme(cd, ctx)
+    V = section_scheme(cd)
     return line_on_surface(V, ctx)
 
 
@@ -197,7 +197,7 @@ def check_family_end(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
             INCONCLUSIVE, witnesses={"note": "no rational point found on the hypersurface"}
         )
     schemes = ConeSchemes(cd, ctx)
-    result = cone_family_end(schemes, delta, "0")
+    result = cone_family_end(schemes, delta)
     witnesses: Dict[str, object] = {
         "delta": _gens_text(delta),
         "end-support": _gens_text(result.support.ideal),
@@ -435,8 +435,8 @@ CHECK_ORDER = [
     "example-3-2",
     "formula-3-5",
 ]
-# the E0 fiber certification is part of omega-consistency's pipeline stage in
-# reports, but exposed separately for tests
+# the E0 fiber certification is not a registered check, so no report runs
+# it; only tests do
 E0_FIBER_CHECK = CheckDef(
     "e0-fiber",
     "section 2.2, 'is E0'",

@@ -21,12 +21,13 @@ from .fields import Field, FieldConfig, PrimeField
 from .ideals import (
     EngineContext,
     Ideal,
-    contains_ideal,
+    contains,
     eliminate,
     hilbert_data,
     ideal_equal,
     linear_forms_in,
     multisaturate,
+    radical_equal,
     saturate,
     saturate_by_poly,
 )
@@ -44,6 +45,7 @@ from .scheme import (
     point_forms,
     random_point,
     union_certify,
+    _univariate_roots,
 )
 
 
@@ -95,10 +97,6 @@ class ConeData:
 
     def ambient_zx(self) -> AmbientSpace:
         return AmbientSpace.product(("z", 2), ("x", self.nx))
-
-    def ambient_operator(self) -> AmbientSpace:
-        """z  x  target projective subspace (y, size n+2-h)."""
-        return AmbientSpace.product(("z", 2), ("x", self.nx), ("y", self.nx - self.h))
 
     def ring(self, ambient: AmbientSpace, field: Optional[Field] = None) -> PolyRing:
         return PolyRing(ambient, field if field is not None else self.field_cfg.field())
@@ -247,7 +245,7 @@ def build_graph_scheme_from_map(cd: ConeData, ctx: EngineContext) -> Subscheme:
     return graph_closure(twist_map_spec(cd), ctx)
 
 
-def build_fiber_product_scheme(cd: ConeData, r: int, ctx: EngineContext) -> Subscheme:
+def build_fiber_product_scheme(cd: ConeData, r: int) -> Subscheme:
     """Closure of the doubled projection-from-e0 fiber product, for r in {0, h}.
 
     r=0: all minors x_i*y_j - x_j*y_i with 1 <= i < j <= n+1.
@@ -266,7 +264,8 @@ def build_fiber_product_scheme(cd: ConeData, r: int, ctx: EngineContext) -> Subs
     for i in range(top + 1, cd.nx):
         gens.append(x[i])
         gens.append(y[i])
-    return Subscheme.saturated(Ideal(ring, gens), ctx)
+    # (d): generic 2x2 minors plus linear forms in other variables
+    return Subscheme(Ideal(ring, gens))
 
 
 def diagonal_component_ideal(cd: ConeData, ring: PolyRing) -> Ideal:
@@ -462,20 +461,22 @@ class ConeSchemes:
 
     @property
     def diagonal_part(self) -> Subscheme:
+        # saturated: (t0 - t1) + minors + f(x) holds f(y)·m_x^deg(f), not f(y)
         return self._get(
             "diag",
             lambda: Subscheme.saturated(
-                diagonal_component_ideal(self.cd, self.sigma.ring), self.ctx
+                diagonal_component_ideal(self.cd, self.cd.ring(self.cd.ambient_master())),
+                self.ctx,
             ),
         )
 
     @property
     def theta(self) -> Subscheme:
-        def build():
-            sat = saturate(self.sigma.ideal, self.diagonal_part.ideal, self.ctx)
-            return Subscheme.saturated(sat, self.ctx)
-
-        return self._get("theta", build)
+        # (f): sigma is saturated in every block
+        return self._get(
+            "theta",
+            lambda: Subscheme(saturate(self.sigma.ideal, self.diagonal_part.ideal, self.ctx)),
+        )
 
     @property
     def projection_graph(self) -> Subscheme:
@@ -493,14 +494,6 @@ class ConeSchemes:
             return G.ideal.with_extra([fx, fy])
 
         return self._get("operator_ideal", build)
-
-    @property
-    def hypersurface(self) -> Subscheme:
-        def build():
-            ring = self.cd.ring(self.cd.ambient_x())
-            return Subscheme.saturated(Ideal(ring, [self.cd.f_in(ring)]), self.ctx)
-
-        return self._get("hypersurface", build)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +513,7 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
     equals the r=0 fiber-product scheme."""
     cd, ctx = schemes.cd, schemes.ctx
     fib = fiber(schemes.omega, {"t": (1, 1), "z": (1, 0)}, ctx, project=True)
-    e0 = build_fiber_product_scheme(cd, 0, ctx)
+    e0 = build_fiber_product_scheme(cd, 0)
     target = Ideal(fib.ring, [fib.ring.convert(g) for g in e0.ideal.gens])
     return ideal_equal(fib.ideal, target, ctx)
 
@@ -536,9 +529,7 @@ def verify_diagonal_is_component(schemes: ConeSchemes) -> bool:
 def theta_removal_idempotent(schemes: ConeSchemes) -> bool:
     ctx = schemes.ctx
     again = saturate(schemes.theta.ideal, schemes.diagonal_part.ideal, ctx)
-    return contains_ideal(schemes.theta.ideal, again, ctx) and contains_ideal(
-        again, schemes.theta.ideal, ctx
-    )
+    return ideal_equal(schemes.theta.ideal, again, ctx)
 
 
 @dataclass
@@ -580,7 +571,7 @@ def covering_degree_report(
         raise ConeDataError("the projection centre is a point only for h = 1")
     ring_x = cd.ring(cd.ambient_x())
     F = ring_x.field
-    X = Subscheme.saturated(Ideal(ring_x, [cd.f_in(ring_x)]), ctx)
+    X = Subscheme(Ideal(ring_x, [cd.f_in(ring_x)]))  # (b)
     twisted = projection_map_spec(cd)
     counts: List[int] = []
     params: List[Tuple[int, int]] = []
@@ -618,15 +609,10 @@ class FamilyEndResult:
     dominant: bool
 
 
-def cone_family_end(
-    schemes: ConeSchemes, delta_x: Ideal, t_value: str
-) -> FamilyEndResult:
+def cone_family_end(schemes: ConeSchemes, delta_x: Ideal) -> FamilyEndResult:
     """End of the one-parameter family through delta: intersect the moved
     family with delta on the source copy, keep only the part dominating
-    the t-line, specialize t, project to the target copy.
-
-    t_value: "0" or "1".
-    """
+    the t-line, specialize t to 0, project to the target copy."""
     cd, ctx = schemes.cd, schemes.ctx
     ring = schemes.theta.ring
     moved = schemes.theta.ideal.with_extra(
@@ -640,9 +626,8 @@ def cone_family_end(
     sat_all = multisaturate(moved, ctx)
     residual = eliminate(sat_all, ["z", "x", "y"], ctx)
     dominant = not residual.gens
-    S = Subscheme.saturated(moved, ctx)
-    at = {"t": (1, 0) if t_value == "0" else (1, 1)}
-    fib = fiber(S, at, ctx, project=True)
+    S = Subscheme(sat_all)  # (f): the multisaturation just computed
+    fib = fiber(S, {"t": (1, 0)}, ctx, project=True)
     # project to the last factor
     support = Subscheme.saturated(
         eliminate(
@@ -720,12 +705,12 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     for i in range(0, p):
         for j in range(i + 1, p):
             g1_gens.append(x[i] * y[j] - x[j] * y[i])
-    gamma1 = Subscheme.saturated(Ideal(ring, g1_gens), ctx)
+    gamma1 = Subscheme(Ideal(ring, g1_gens))  # (d)
     g2_gens = [z1] + list(cut)
     for i in range(1, p):
         for j in range(i + 1, p):
             g2_gens.append(x[i] * y[j] - x[j] * y[i])
-    gamma2 = Subscheme.saturated(Ideal(ring, g2_gens), ctx)
+    gamma2 = Subscheme(Ideal(ring, g2_gens))  # (d)
     certified = union_certify(gamma, [gamma1, gamma2], ctx)
     want = cd.n + 2 - cd.h
     d1, d2 = gamma1.dimension(ctx), gamma2.dimension(ctx)
@@ -777,7 +762,10 @@ def verify_operator_degree_split(
     as `excess` and nothing is split."""
     cd, ctx = schemes.cd, schemes.ctx
     img = cone_operator_image(schemes, delta_y)
-    gamma = Subscheme.saturated(operator_correspondence(schemes, delta_y), ctx)
+    # (f): operator_correspondence saturated the z and y blocks
+    gamma = Subscheme(
+        multisaturate(operator_correspondence(schemes, delta_y), ctx, blocks=["x"])
+    )
     push = pushforward_degree(gamma, img, ctx)
     ring = img.ring
     x = ring.block_vars("x")
@@ -791,8 +779,8 @@ def verify_operator_degree_split(
     dgens = [ring.convert(target.convert(g)) if g.ring != ring else g for g in dgens]
     dgens += cut + [cd.f_on_block(ring, "x")]
     D = Subscheme.saturated(Ideal(ring, dgens), ctx)
-    residual = saturate(S.ideal, D.ideal, ctx)
-    res_scheme = Subscheme.saturated(residual, ctx)
+    # (e): the generators of D are x-forms, so every combination lies in m_x
+    res_scheme = Subscheme(saturate(S.ideal, D.ideal, ctx))
     report = OperatorDegreeReport(total_degree=S.degree(ctx), pushforward_degree=push)
     if S.dimension(ctx) > D.dimension(ctx):
         # a component of dimension > dim delta is not inside delta, so it
@@ -821,7 +809,7 @@ def verify_image_in_linear_section(
     """Push delta through the r=0 correspondence and certify the image's
     support sits inside a linear section of matching codimension."""
     cd, ctx = schemes.cd, schemes.ctx
-    e0 = build_fiber_product_scheme(cd, 0, ctx)
+    e0 = build_fiber_product_scheme(cd, 0)
     ring = e0.ring
     combined = e0.ideal.with_extra([ring.convert(g) for g in delta_x.gens])
     sat = multisaturate(combined, ctx, blocks=["x"])
@@ -844,18 +832,16 @@ def join_support_matches_operator(
     renames = {"y%d" % i: "x%d" % i for i in range(p)}
     dgens = [g.map_vars(renames, ring_x) for g in delta_y.gens]
     dgens += [x[i] for i in range(p, cd.nx)]
-    delta_big = Subscheme.saturated(Ideal(ring_x, dgens), ctx)
+    delta_big = Subscheme(Ideal(ring_x, dgens))  # (c)
     # the twist line: closure of the span of e0 and the pivot directions
     line_gens = [x[i] for i in range(1, cd.nx) if i != p]
     if cd.h != 1:
         raise ConeDataError("join comparison is defined for h = 1")
-    line = Subscheme.saturated(Ideal(ring_x, line_gens), ctx)
+    line = Subscheme(Ideal(ring_x, line_gens))  # (c)
     joined = join(delta_big, line, ctx)
     sliced = Subscheme.saturated(
         joined.ideal.with_extra([cd.f_in(ring_x)]), ctx
     )
-    from .ideals import radical_equal
-
     same = radical_equal(img.ideal, sliced.ideal, ctx)
     return same, img, sliced
 
@@ -882,8 +868,6 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     the prime field.  Sufficient for the diagonal-type surfaces used in
     the preset scenarios; returns None when no such line exists.
     """
-    from .scheme import _univariate_roots
-
     ring = S.ring
     F = ring.field
     if ring.nvars != 4 or len(S.ideal.gens) != 1 or not isinstance(F, PrimeField):
@@ -953,16 +937,14 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
                 ring,
                 [v[i] - v[j].scale(F.from_int(a0)), v[k] - v[l].scale(F.from_int(b0))],
             )
-            from .ideals import contains
-
             if all(contains(cand, h, ctx) for h in S.ideal.gens):
                 return cand
     return None
 
 
-def section_scheme(cd: ConeData, ctx: EngineContext) -> Subscheme:
+def section_scheme(cd: ConeData) -> Subscheme:
     """The codim-h plane section of the hypersurface, inside its own
     projective subspace x_{n+2-h} = ... = x_{n+1} = 0."""
     ring = cd.ring(AmbientSpace.product(("y", cd.pivot)))
     g = cd.section_form(ring, "y", range(cd.pivot))
-    return Subscheme.saturated(Ideal(ring, [g]), ctx)
+    return Subscheme(Ideal(ring, [g]))  # (b)

@@ -17,10 +17,6 @@ class FieldError(Exception):
     pass
 
 
-class MixedFieldError(FieldError):
-    pass
-
-
 def seeded_rng(seed: int, *tag) -> random.Random:
     """Deterministic per-purpose stream, decoupled from other draws."""
     # hash() on strings is salted per process; derive a stable seed

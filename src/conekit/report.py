@@ -97,20 +97,27 @@ class ScenarioConfig:
                 lit = (int(cdd["n"]), int(cdd["h"]), str(cdd["f"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError("cone-data needs integer n, h and text f: %s" % exc)
-        try:
-            seed = int(d.get("seed", 0))
-        except (TypeError, ValueError):
-            raise ConfigError("seed must be an integer, not %r" % (d["seed"],))
+        for key, ok, what in (
+            ("seed", lambda v: type(v) is int, "an integer"),
+            ("field", lambda v: isinstance(v, str), "a string"),
+            ("checks", lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+             "a list of check names"),
+            ("cache-dir", lambda v: v is None or isinstance(v, str), "a path string"),
+            ("out", lambda v: v is None or isinstance(v, str), "a path string"),
+            ("timings", lambda v: type(v) is bool, "true or false"),
+        ):
+            if key in d and not ok(d[key]):
+                raise ConfigError("%s must be %s, not %r" % (key, what, d[key]))
         return cls(
             preset_name=d.get("preset"),
             cone_literal=lit,
             field=d.get("field", "Fp:31991"),
             checks=tuple(d.get("checks", CHECK_ORDER)),
-            seed=seed,
+            seed=d.get("seed", 0),
             caps=ResourceCaps(**caps),
             cache_dir=d.get("cache-dir"),
             out_path=d.get("out"),
-            timings=bool(d.get("timings", False)),
+            timings=d.get("timings", False),
         )
 
     def to_dict(self) -> dict:

@@ -34,29 +34,36 @@ class SchemeError(Exception):
 class Subscheme:
     """A closed subscheme of a product of projective spaces.
 
-    The defining ideal is kept irrelevant-saturated and multihomogeneous;
-    Hilbert data is computed lazily and cached on the instance.
+    The ideal is multihomogeneous and saturated by the irrelevant ideal m_b
+    of every projective block b; Hilbert data is cached on the instance.
+    `Subscheme(I)` wraps I as it is.  `Subscheme.saturated` saturates every
+    block first, and is called only where an operation can leave irrelevant
+    components: explicit equation systems, sums, cuts and projections.
+    Every other site wraps directly and names its case (I : c^∞ is
+    m_b-saturated when c lies in m_b; Cox, Little & O'Shea, ch. 4 §4):
+    (a) a graph closure I : c^∞, c a combination of the forms: c lies in m_b
+        for each source block where the forms have positive degree, and at
+        a nonzero form the target coordinate is a nonzerodivisor; only
+        source blocks of form degree 0 are saturated;
+    (b) one form in one projective block, (c) a linear ideal, (d) generic
+        2x2 minors plus linear forms in other variables: each has prime
+        associated primes that contain no m_b;
+    (e) I : c^∞ with c in m_b for every block of the ring;
+    (f) blocks an earlier step already saturated (saturations commute).
     """
 
     __slots__ = ("ideal", "_hilbert")
 
-    def __init__(self, ideal: Ideal, presaturated: bool = False):
+    def __init__(self, ideal: Ideal):
         if not ideal.is_multihomogeneous():
             raise SchemeError("subscheme ideal must be multihomogeneous")
-        if not presaturated:
-            raise SchemeError("construct via Subscheme.saturated(...)")
         self.ideal = ideal
         self._hilbert: Optional[HilbertData] = None
 
     @classmethod
     def saturated(cls, ideal: Ideal, ctx: EngineContext) -> "Subscheme":
         """Saturate by every projective block's irrelevant ideal, then wrap."""
-        return cls(multisaturate(ideal, ctx), presaturated=True)
-
-    @classmethod
-    def raw(cls, ideal: Ideal) -> "Subscheme":
-        """Wrap an ideal already known to be saturated (named generators)."""
-        return cls(ideal, presaturated=True)
+        return cls(multisaturate(ideal, ctx))
 
     @property
     def ring(self) -> PolyRing:
@@ -76,9 +83,6 @@ class Subscheme:
 
     def degree(self, ctx: EngineContext) -> int:
         return self.hilbert(ctx).degree
-
-    def is_empty(self, ctx: EngineContext) -> bool:
-        return self.dimension(ctx) < 0
 
     def __repr__(self):
         return "Subscheme(%d gens in %r)" % (len(self.ideal.gens), self.ambient)
@@ -135,7 +139,8 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
 
     The graph ideal is generated by the 2x2 minors of [target coords;
     forms]; saturating by the base-locus ideal removes everything the
-    minors pick up where all forms vanish.
+    minors pick up where all forms vanish, and with it every irrelevant
+    component over a block where the forms have positive degree.
     """
     src = spec.source_ring
     ext = src.ambient.extend(spec.target_block)
@@ -152,7 +157,10 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
     graph = Ideal(ring, gens)
     base_locus = Ideal(ring, forms)
     sat = saturate(graph, base_locus, ctx)
-    return Subscheme.saturated(sat, ctx)
+    # (a): only a source block where the forms have degree 0 needs saturating
+    degs = next(f for f in spec.forms if not f.is_zero()).multidegree()
+    flat = [b.name for b in src.ambient.projective_blocks if degs[b.name] == 0]
+    return Subscheme(multisaturate(sat, ctx, blocks=flat))
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,15 @@ def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     ({"seed": "abc"}, "seed must be an integer, not 'abc'"),
     ({"caps": {"max-basis": "x"}}, "cap 'max-basis' must be an integer, not 'x'"),
     ({"caps": []}, "caps must be a JSON object"),
+    ({"seed": 1.5}, "seed must be an integer, not 1.5"),
+    ({"seed": True}, "seed must be an integer, not True"),
+    ({"field": 5}, "field must be a string, not 5"),
+    ({"checks": 5}, "checks must be a list of check names, not 5"),
+    ({"checks": ["expansion-g", 5]}, "checks must be a list of check names, not ['expansion-g', 5]"),
+    ({"cache-dir": 5}, "cache-dir must be a path string, not 5"),
+    ({"out": 1}, "out must be a path string, not 1"),
+    ({"out": 5}, "out must be a path string, not 5"),
+    ({"timings": "no"}, "timings must be true or false, not 'no'"),
 ])
 def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message):
     # each of these ended in a traceback and exit 1, the code that means FAIL

@@ -4,8 +4,9 @@ import pytest
 
 from conekit import checks, cone
 from conekit.checks import FAIL
-from conekit.fields import DEFAULT_PRIME, FieldConfig, PrimeField
-from conekit.ideals import EngineContext, Ideal, contains, ideal_equal
+from conekit.fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField
+from conekit.ideals import EngineContext, Ideal, contains, ideal_equal, multisaturate
+from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
 from conekit.scheme import Subscheme
 
@@ -139,11 +140,11 @@ def test_fiber_product_scheme_dimensions():
     for name in ALL_PRESETS:
         cd = cone.preset(name, CFG)
         for r in (0, cd.h):
-            E = cone.build_fiber_product_scheme(cd, r, CTX)
+            E = cone.build_fiber_product_scheme(cd, r)
             assert E.dimension(CTX) == cd.n + 2 - r
     cd = cone.preset("cubic-3f-h1", CFG)
     with pytest.raises(cone.ConeDataError):
-        cone.build_fiber_product_scheme(cd, 2, CTX)
+        cone.build_fiber_product_scheme(cd, 2)
 
 
 def test_genericity_accepts_presets():
@@ -195,7 +196,7 @@ def test_split_components_quadric():
 def test_line_on_surface_fermat_cubic():
     amb = AmbientSpace.product(("y", 4))
     R = PolyRing(amb, FP)
-    S = Subscheme.raw(Ideal(R, [R.parse("y0^3 + y1^3 + y2^3 + y3^3")]))
+    S = Subscheme(Ideal(R, [R.parse("y0^3 + y1^3 + y2^3 + y3^3")]))
     L = cone.line_on_surface(S, CTX)
     assert L is not None
     assert len(L.gens) == 2
@@ -211,13 +212,13 @@ def test_line_on_surface_none_when_absent():
     amb = AmbientSpace.product(("y", 4))
     R = PolyRing(amb, FP)
     # two generators: the searcher only handles principal ideals
-    S = Subscheme.raw(Ideal(R, [R.parse("y0"), R.parse("y1")]))
+    S = Subscheme(Ideal(R, [R.parse("y0"), R.parse("y1")]))
     assert cone.line_on_surface(S, CTX) is None
 
 
 def test_section_scheme_lives_in_subspace():
     cd = cone.preset("cubic-3f-h2", CFG)
-    sec = cone.section_scheme(cd, CTX)
+    sec = cone.section_scheme(cd)
     assert sec.ring.nvars == cd.nx - cd.h
     assert sec.dimension(CTX) == cd.nx - cd.h - 2
     # the complementary section, in its own h + 1 coordinates
@@ -229,8 +230,8 @@ def test_section_scheme_lives_in_subspace():
 
 def test_delta_point_on_hypersurface():
     cd = cone.preset("quadric-s2-h1", CFG)
-    schemes = cone.ConeSchemes(cd, CTX)
-    X = schemes.hypersurface
+    ring = cd.ring(cd.ambient_x())
+    X = Subscheme(Ideal(ring, [cd.f_in(ring)]))
     D = cone.delta_point_on(X, CTX)
     assert D is not None
     for g in X.ideal.gens:
@@ -244,3 +245,54 @@ def test_join_support_requires_h1():
     delta = Ideal(ring, [ring.parse("y0"), ring.parse("y1")])
     with pytest.raises(cone.ConeDataError):
         cone.join_support_matches_operator(schemes, delta)
+
+
+def test_directly_wrapped_subschemes_are_saturated(monkeypatch):
+    # every Subscheme built without Subscheme.saturated while the light
+    # checks run must already equal its saturation in every block
+    built = {}
+    depth = [0]
+    init = Subscheme.__init__
+    saturated = Subscheme.saturated.__func__
+
+    def recording_init(self, ideal):
+        init(self, ideal)
+        if not depth[0]:
+            built.setdefault(ideal.key(), ideal)
+
+    def counting_saturated(cls, ideal, ctx):
+        depth[0] += 1
+        try:
+            return saturated(cls, ideal, ctx)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Subscheme, "__init__", recording_init)
+    monkeypatch.setattr(Subscheme, "saturated", classmethod(counting_saturated))
+    light = tuple(c for c in checks.CHECK_ORDER if c not in ("prop-2-1", "prop-2-6"))
+    for name in ALL_PRESETS:
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            run_scenario(ScenarioConfig(preset_name=name, field="Fp:%d" % p, checks=light))
+    monkeypatch.undo()
+    assert len(built) > 20
+    for ideal in built.values():
+        assert ideal_equal(multisaturate(ideal, CTX), ideal, CTX), ideal
+
+
+def test_theta_is_saturated_on_quadric():
+    schemes = cone.ConeSchemes(cone.preset("quadric-s2-h1", CFG), CTX)
+    theta = schemes.theta.ideal
+    assert ideal_equal(multisaturate(theta, CTX), theta, CTX)
+
+
+def test_diagonal_component_ideal_is_not_saturated():
+    # (t0 - t1) + minors + f(x) holds f(y)·m_x^2 but not f(y), so the
+    # diagonal must be built with Subscheme.saturated
+    cd = cone.preset("quadric-s2-h1", CFG)
+    ring = cd.ring(cd.ambient_master())
+    diag = cone.diagonal_component_ideal(cd, ring)
+    fy = cd.f_on_block(ring, "y")
+    assert not contains(diag, fy, CTX)
+    x = ring.block_vars("x")
+    assert all(contains(diag, fy * a * b, CTX) for a in x for b in x)
+    assert not ideal_equal(multisaturate(diag, CTX), diag, CTX)

@@ -26,9 +26,8 @@ FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
 
 
-def scheme(ring, *texts, raw=False):
-    I = Ideal(ring, [ring.parse(t) for t in texts])
-    return Subscheme.raw(I) if raw else Subscheme.saturated(I, CTX)
+def scheme(ring, *texts):
+    return Subscheme.saturated(Ideal(ring, [ring.parse(t) for t in texts]), CTX)
 
 
 def test_subscheme_saturation_removes_irrelevant_junk():
@@ -107,7 +106,7 @@ def test_union_certify():
 
 def test_component_multiplicity_double_line():
     R = PolyRing(AmbientSpace.product(("x", 3)), FP)
-    S = Subscheme.raw(Ideal(R, [R.parse("x0^2*x1")]))
+    S = Subscheme(Ideal(R, [R.parse("x0^2*x1")]))
     line = scheme(R, "x0")
     other = scheme(R, "x1")
     rep = component_multiplicity(S, line, [other], CTX)
@@ -182,7 +181,7 @@ def test_univariate_roots_match_scan(p):
 
 def test_random_point_empty_scheme():
     R = PolyRing(AmbientSpace.product(("x", 3)), FP)
-    S = Subscheme.raw(Ideal(R, [R.one()]))
+    S = Subscheme(Ideal(R, [R.one()]))
     assert random_point(S, CTX) is None
 
 
