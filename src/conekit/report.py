@@ -93,10 +93,10 @@ class ScenarioConfig:
         lit = None
         if "cone-data" in d:
             cdd = d["cone-data"]
-            try:
-                lit = (int(cdd["n"]), int(cdd["h"]), str(cdd["f"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError("cone-data needs integer n, h and text f: %s" % exc)
+            if not (isinstance(cdd, dict) and type(cdd.get("n")) is int
+                    and type(cdd.get("h")) is int and isinstance(cdd.get("f"), str)):
+                raise ConfigError("cone-data needs integer n, h and text f, not %r" % (cdd,))
+            lit = (cdd["n"], cdd["h"], cdd["f"])
         for key, ok, what in (
             ("seed", lambda v: type(v) is int, "an integer"),
             ("field", lambda v: isinstance(v, str), "a string"),

@@ -260,9 +260,14 @@ def test_cli_verify_config_error_exit_2(capsys):
     ({"n": 2, "h": 1, "f": "x0^2 + q7^2"}, "f: unknown variable 'q7'"),
     ({"n": 2, "h": 1, "f": "0"}, "f must be a nonzero homogeneous form in x0..x3"),
     ({"n": 1, "h": 1, "f": "x0^2"}, "need n >= 2"),
+    ({"n": 2.5, "h": 1, "f": "x0^2"},
+     "cone-data needs integer n, h and text f, not {'n': 2.5, 'h': 1, 'f': 'x0^2'}"),
+    ({"n": 2, "h": True, "f": "x0^2"},
+     "cone-data needs integer n, h and text f, not {'n': 2, 'h': True, 'f': 'x0^2'}"),
 ])
 def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
-    # before validation these ended in a traceback and exit 1, the code that means FAIL
+    # before validation these ended in a traceback and exit 1, the code that
+    # means FAIL, or (a float or boolean n or h) were silently truncated
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"cone-data": cone_data, "checks": ["expansion-g"]}))
     assert main(["verify", "--scenario", str(path)]) == 2
@@ -286,7 +291,9 @@ def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     ({"timings": "no"}, "timings must be true or false, not 'no'"),
 ])
 def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message):
-    # each of these ended in a traceback and exit 1, the code that means FAIL
+    # each of these ended in a traceback and exit 1, the code that means FAIL,
+    # or was misread: a float or boolean seed as an integer, "timings": "no"
+    # as true, and an integer "out" as a file descriptor
     path = tmp_path / "s.json"
     path.write_text(json.dumps(dict({"preset": "quadric-s2-h1", "checks": ["expansion-g"]}, **extra)))
     assert main(["verify", "--scenario", str(path)]) == 2
