@@ -2,13 +2,18 @@
 
 Each check runs a scheme-level computation and reports a five-valued
 status.  Resource-cap exhaustion is never a verdict: it surfaces as
-INCONCLUSIVE with the cap named in the witness.  Instances that fail the
-genericity gate reject the scenario (REJECTED-GENERICITY) rather than
-failing individual checks.
+INCONCLUSIVE with the cap named in the witness.  Neither is a fault in the
+program: an unexpected exception inside a check surfaces as INCONCLUSIVE
+with an `internal-error` witness, and its traceback goes to stderr.
+Instances that fail the genericity gate reject the scenario
+(REJECTED-GENERICITY) rather than failing individual checks.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
@@ -44,6 +49,9 @@ FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 NOT_APPLICABLE = "NOT-APPLICABLE"
 REJECTED_GENERICITY = "REJECTED-GENERICITY"
+
+# the witness key of a check that raised an unexpected exception
+INTERNAL_ERROR = "internal-error"
 
 
 @dataclass
@@ -482,6 +490,18 @@ def run_check(
                 INCONCLUSIVE,
                 witnesses={"resource-cap": exc.what, "detail": exc.detail},
             )
+        except Exception as exc:  # a fault in the program, never a verdict
+            print("internal error in check %s:" % name, file=sys.stderr)
+            traceback.print_exc()
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            outcome = CheckOutcome(
+                INCONCLUSIVE,
+                witnesses={
+                    INTERNAL_ERROR: "%s: %s" % (type(exc).__name__, exc),
+                    "at": "%s:%d in %s" % (os.path.basename(frame.filename),
+                                            frame.lineno, frame.name),
+                },
+            )
     if genericity.notes and name != "expansion-g":
         outcome.notes = list(outcome.notes) + [
             "genericity-note: %s" % n for n in genericity.notes
@@ -495,7 +515,7 @@ def run_check_two_prime(
     """Randomized checks re-run at a second prime; verdicts must agree."""
     cdef = CHECKS[name]
     first = run_check(name, cd, ctx, genericity)
-    if not cdef.randomized or cd.field_cfg.kind != "prime-field":
+    if not cdef.randomized or cd.field_cfg.kind != "prime-field" or INTERNAL_ERROR in first.witnesses:
         return first
     alt_p = SECOND_PRIME if cd.field_cfg.p != SECOND_PRIME else DEFAULT_PRIME
     cd2 = ConeData(
@@ -507,6 +527,10 @@ def run_check_two_prime(
     )
     ctx2 = EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed)
     second = run_check(name, cd2, ctx2)
+    if INTERNAL_ERROR in second.witnesses:
+        # a fault at the second prime is reported as one, not as a disagreement
+        return CheckOutcome(INCONCLUSIVE, witnesses=dict(second.witnesses, **{"second-prime": alt_p}),
+                            notes=first.notes)
     if first.status != second.status:
         return CheckOutcome(
             INCONCLUSIVE,

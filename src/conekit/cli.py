@@ -19,6 +19,7 @@ from .report import (
     load_scenario,
     report_bytes,
     report_has_fail,
+    report_has_internal_error,
     run_scenario,
 )
 from .ring import (
@@ -72,7 +73,7 @@ def cmd_verify(args) -> int:
             reports = pool.map(run_scenario, configs)
     else:
         reports = [run_scenario(c) for c in configs]
-    any_fail = False
+    any_fail = any_error = False
     for cfg, rep in zip(configs, reports):
         blob = report_bytes(rep)
         if cfg.out_path:
@@ -86,7 +87,9 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
         any_fail = any_fail or report_has_fail(rep)
-    return 1 if any_fail else 0
+        any_error = any_error or report_has_internal_error(rep)
+    # a FAIL verdict is reported first; otherwise a check that raised exits 3
+    return 1 if any_fail else 3 if any_error else 0
 
 
 def cmd_explain(args) -> int:

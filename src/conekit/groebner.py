@@ -57,7 +57,7 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import mul, or_
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fields import PrimeField
 from .ring import Monomial, MonomialOrder, Poly, PolyRing
@@ -459,15 +459,26 @@ def normal_form(
     basis: Sequence[Poly],
     order: MonomialOrder,
     caps: ResourceCaps = DEFAULT_CAPS,
+    packed: Optional[Dict[int, _Basis]] = None,
 ) -> Poly:
-    """Remainder of p modulo `basis` under `order`; no term divisible by a lead."""
+    """Remainder of p modulo `basis` under `order`; no term divisible by a lead.
+
+    `packed`, when given, holds the packed basis of each field width: a
+    caller that reduces many polynomials by one basis passes the same dict
+    each time, and the basis is packed once per width.
+    """
     basis = [b for b in basis if not b.is_zero()]
     if p.is_zero() or not basis:
         return p
+    if packed is None:
+        packed = {}
 
     def run(width):
         W = _Work(p.ring, order, caps, width)
-        return W.to_polys([W.reduce_full(W.pack(p), W.pack_basis(basis))])[0]
+        B = packed.get(width)
+        if B is None:
+            B = packed[width] = W.pack_basis(basis)
+        return W.to_polys([W.reduce_full(W.pack(p), B)])[0]
 
     return _widening(run)
 

@@ -31,6 +31,7 @@ from .ring import (
     Poly,
     PolyRing,
     poly_str,
+    substitute_all,
 )
 
 
@@ -41,7 +42,7 @@ class IdealError(Exception):
 class Ideal:
     """Finitely generated ideal in a PolyRing; zero generators are dropped."""
 
-    __slots__ = ("ring", "gens")
+    __slots__ = ("ring", "gens", "_key")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Poly]):
         clean = []
@@ -55,12 +56,12 @@ class Ideal:
         uniq = []
         for g in clean:
             g = g.monic(ring.order)
-            key = frozenset(g.terms.items())
-            if key not in seen:
-                seen.add(key)
+            if g not in seen:
+                seen.add(g)
                 uniq.append(g)
         self.ring = ring
         self.gens: Tuple[Poly, ...] = tuple(uniq)
+        self._key = None
 
     @classmethod
     def of(cls, ring: PolyRing, *gens: Poly) -> "Ideal":
@@ -98,7 +99,10 @@ class Ideal:
         return [poly_str(g) for g in self.gens]
 
     def key(self) -> tuple:
-        return (self.ring.key(), tuple(sorted(self.gen_strs())))
+        """The ring's key and the sorted printed generators; RNG tags hash its repr."""
+        if self._key is None:
+            self._key = (self.ring.key(), tuple(sorted(self.gen_strs())))
+        return self._key
 
     def __repr__(self):
         return "Ideal(%d gens in %r)" % (len(self.gens), self.ring.ambient)
@@ -112,16 +116,24 @@ class EngineContext:
     cache: Optional[BasisCache] = None
     seed: int = 0
     _memo: Dict[tuple, List[Poly]] = dc_field(default_factory=dict, repr=False)
+    # per memo key, the packed basis of each field width that normal_form used
+    _packed: Dict[tuple, dict] = dc_field(default_factory=dict, repr=False)
 
     def rng(self, *tag) -> random.Random:
         return seeded_rng(self.seed, *tag)
+
+    @staticmethod
+    def _memo_key(ideal: Ideal, order: MonomialOrder) -> tuple:
+        # the generator set, not its printed form: both name the same ideals,
+        # and the set needs no printing
+        return (ideal.ring.key(), frozenset(ideal.gens), order.name)
 
     def groebner(self, ideal: Ideal, order: Optional[MonomialOrder] = None) -> List[Poly]:
         """Reduced Groebner basis, memoized in-process and on disk."""
         ring = ideal.ring
         if order is None:
             order = GrevlexOrder(ring.nvars)
-        memo_key = (ideal.key(), order.name)
+        memo_key = self._memo_key(ideal, order)
         hit = self._memo.get(memo_key)
         if hit is not None:
             return hit
@@ -141,7 +153,9 @@ class EngineContext:
     def nf(self, p: Poly, ideal: Ideal, order: Optional[MonomialOrder] = None) -> Poly:
         if order is None:
             order = GrevlexOrder(ideal.ring.nvars)
-        return normal_form(p, self.groebner(ideal, order), order, self.caps)
+        basis = self.groebner(ideal, order)
+        packed = self._packed.setdefault(self._memo_key(ideal, order), {})
+        return normal_form(p, basis, order, self.caps, packed)
 
 
 DEFAULT_CONTEXT = EngineContext()
@@ -328,6 +342,30 @@ def _random_block_linear(ring: PolyRing, block: str, rng: random.Random) -> Poly
     return p
 
 
+def _linear_change(form: Poly) -> Tuple[str, Poly, Poly]:
+    """(v, fwd, back) for a linear form ℓ whose last variable is v.
+
+    Substituting fwd for v sends ℓ to v; substituting back for v undoes
+    that substitution.
+    """
+    ring = form.ring
+    F = ring.field
+    support = sorted(form.variables())
+    pivot = support[-1]
+    pname = ring.ambient.varnames[pivot]
+    coeffs = {i: form.coeff_of_var_power(i, 1).terms.get(ring._zero_mono) for i in support}
+    c_p = coeffs[pivot]
+    # fwd sends v_p to (v_p - sum_{i != p} c_i v_i)/c_p
+    inv_cp = F.inv(c_p)
+    fwd = ring.var(pname).scale(inv_cp)
+    back = ring.var(pname).scale(c_p)
+    for i in support[:-1]:
+        vi = ring.var_by_index(i)
+        fwd = fwd - vi.scale(F.mul(coeffs[i], inv_cp))
+        back = back + vi.scale(coeffs[i])
+    return pname, fwd, back
+
+
 def saturate_by_linear_form(
     ideal: Ideal, form: Poly, ctx: EngineContext = DEFAULT_CONTEXT
 ) -> Ideal:
@@ -337,30 +375,15 @@ def saturate_by_linear_form(
     the divide-out trick, change back.
     """
     ring = ideal.ring
-    F = ring.field
     support = sorted(form.variables())
     if form.total_degree() != 1 or len({ring.ambient.block_of_index(i).name for i in support}) != 1:
         raise IdealError("need a linear form supported on a single block")
-    # pick the pivot variable: the largest-index one with nonzero coefficient
-    pivot = support[-1]
-    pname = ring.ambient.varnames[pivot]
-    coeffs = {i: form.coeff_of_var_power(i, 1).terms.get(ring._zero_mono) for i in support}
-    c_p = coeffs[pivot]
     if len(support) == 1:
-        return saturate_by_var(ideal, pname, ctx)
-    # forward substitution sends v_p to (v_p - sum_{i != p} c_i v_i)/c_p, so ℓ -> v_p
-    inv_cp = F.inv(c_p)
-    fwd = ring.var(pname).scale(inv_cp)
-    back = ring.var(pname).scale(c_p)
-    for i in support:
-        if i == pivot:
-            continue
-        vi = ring.var_by_index(i)
-        fwd = fwd - vi.scale(F.mul(coeffs[i], inv_cp))
-        back = back + vi.scale(coeffs[i])
-    moved = Ideal(ring, [g.substitute({pname: fwd}) for g in ideal.gens])
+        return saturate_by_var(ideal, ring.ambient.varnames[support[0]], ctx)
+    pname, fwd, back = _linear_change(form)
+    moved = Ideal(ring, substitute_all(ideal.gens, {pname: fwd}))
     sat = saturate_by_var(moved, pname, ctx)
-    return Ideal(ring, [g.substitute({pname: back}) for g in sat.gens])
+    return Ideal(ring, substitute_all(sat.gens, {pname: back}))
 
 
 def saturate_block(ideal: Ideal, block: str, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:

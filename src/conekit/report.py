@@ -18,6 +18,7 @@ from .checks import (
     CHECK_ORDER,
     CHECKS,
     FAIL,
+    INTERNAL_ERROR,
     run_check_two_prime,
 )
 from .cone import ConeData, ConeDataError, PRESETS, certify_genericity, preset
@@ -206,3 +207,7 @@ def report_bytes(report: dict) -> bytes:
 
 def report_has_fail(report: dict) -> bool:
     return any(r["status"] == FAIL for r in report["checks"])
+
+
+def report_has_internal_error(report: dict) -> bool:
+    return any(INTERNAL_ERROR in r["witnesses"] for r in report["checks"])

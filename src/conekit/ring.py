@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field
+from .fields import Field, PrimeField
 
 Monomial = Tuple[int, ...]
 
@@ -52,6 +53,7 @@ class AmbientSpace:
         for b in blocks:
             self._ranges[b.name] = range(start, start + b.size)
             start += b.size
+        self._key = tuple((b.name, b.size, b.projective) for b in self.blocks)
 
     @classmethod
     def product(cls, *spec: Tuple[str, int], affine: Sequence[str] = ()) -> "AmbientSpace":
@@ -97,13 +99,13 @@ class AmbientSpace:
         return [other.var_index(n) for n in self.varnames]
 
     def key(self) -> tuple:
-        return tuple((b.name, b.size, b.projective) for b in self.blocks)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, AmbientSpace) and self.key() == other.key()
+        return self is other or (isinstance(other, AmbientSpace) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         return "Ambient(%s)" % " x ".join(
@@ -229,15 +231,16 @@ class PolyRing:
         self.nvars = ambient.nvars
         self._zero_mono = (0,) * self.nvars
         self.order = GrevlexOrder(self.nvars)  # canonical print/sort order
+        self._key = (ambient.key(), field.name)
 
     def key(self):
-        return (self.ambient.key(), self.field.name)
+        return self._key
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.key() == other.key()
+        return self is other or (isinstance(other, PolyRing) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         return "PolyRing(%r, %s)" % (self.ambient, self.field.name)
@@ -301,14 +304,19 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable sparse polynomial: dict monomial -> nonzero coefficient."""
+    """Immutable sparse polynomial: dict monomial -> nonzero coefficient.
 
-    __slots__ = ("ring", "terms", "_hash")
+    Nothing may change `terms` after construction: the hash and the printed
+    form (`poly_str`) are computed once and kept on the object.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_str")
 
     def __init__(self, ring: PolyRing, terms: Dict[Monomial, object]):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._str = None
 
     # predicates ---------------------------------------------------------
 
@@ -481,49 +489,15 @@ class Poly:
             return self
         _, c = self.lead(order)
         F = self.ring.field
+        if c == F.one:
+            return self
         return self.scale(F.inv(c))
 
     # substitution -------------------------------------------------------
 
     def substitute(self, assignment: Dict[str, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables named in `assignment`.
-
-        Values must live in this ring (convert beforehand if needed).
-        """
-        ring = self.ring
-        idx_assignment: Dict[int, Poly] = {}
-        for name, val in assignment.items():
-            if isinstance(val, int):
-                val = ring.const(ring.field.from_int(val))
-            if val.ring != ring:
-                val = ring.convert(val)
-            idx_assignment[ring.ambient.var_index(name)] = val
-        if not idx_assignment:
-            return self
-        result = ring.zero()
-        pow_cache: Dict[Tuple[int, int], Poly] = {}
-
-        def vpow(i: int, e: int) -> Poly:
-            key = (i, e)
-            if key not in pow_cache:
-                pow_cache[key] = idx_assignment[i] ** e
-            return pow_cache[key]
-
-        for m, c in self.terms.items():
-            base = [0] * ring.nvars
-            factors = []
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i in idx_assignment:
-                    factors.append(vpow(i, e))
-                else:
-                    base[i] = e
-            term = Poly(ring, {tuple(base): c})
-            for f in factors:
-                term = term * f
-            result = result + term
-        return result
+        """Substitute polynomials for variables named in `assignment`."""
+        return substitute_all([self], assignment)[0]
 
     def map_vars(self, renames: Dict[str, str], target: PolyRing) -> "Poly":
         """Move to `target` ring sending variable name -> name."""
@@ -556,6 +530,85 @@ class Poly:
 
     def __repr__(self):
         return poly_str(self)
+
+
+# ---------------------------------------------------------------------------
+# substitution
+
+
+def _reduced(terms: Dict[Monomial, object], p: int) -> Dict[Monomial, object]:
+    """The nonzero terms, with coefficients reduced mod p (p = 0: over Q)."""
+    if p:
+        return {m: r for m, c in terms.items() if (r := c % p)}
+    return {m: c for m, c in terms.items() if c}
+
+
+def _mul_terms(a: Dict[Monomial, object], b: Dict[Monomial, object], p: int):
+    out: Dict[Monomial, object] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return _reduced(out, p)
+
+
+def substitute_all(polys: Sequence[Poly], assignment: Dict[str, object]) -> List[Poly]:
+    """Each of `polys`, which share one ring, with the values in `assignment`
+    substituted for the named variables.
+
+    A value is a polynomial (converted to the ring if it lives in another)
+    or an int.  For each exponent vector of the substituted variables the
+    product of powers of the values is computed once for the whole call;
+    each result sums raw coefficients in one dict and reduces them once.
+    """
+    polys = list(polys)
+    if not polys:
+        return []
+    ring = polys[0].ring
+    F = ring.field
+    p = F.p if isinstance(F, PrimeField) else 0
+    values: Dict[int, Dict[Monomial, object]] = {}
+    for name, val in assignment.items():
+        if isinstance(val, int):
+            val = ring.const(F.from_int(val))
+        elif val.ring != ring:
+            val = ring.convert(val)
+        values[ring.ambient.var_index(name)] = val.terms
+    if not values:
+        return polys
+    idx = sorted(values)
+    one = {ring._zero_mono: 1}
+    powers: Dict[Tuple[int, int], Dict[Monomial, object]] = {}
+    products: Dict[Tuple[int, ...], Dict[Monomial, object]] = {}
+
+    def power(i: int, e: int) -> Dict[Monomial, object]:
+        key = (i, e)
+        if key not in powers:
+            powers[key] = values[i] if e == 1 else _mul_terms(power(i, e - 1), values[i], p)
+        return powers[key]
+
+    out = []
+    for poly in polys:
+        if poly.ring != ring:
+            raise AmbientMismatch("substitution across different rings")
+        acc: Dict[Monomial, object] = {}
+        for m, c in poly.terms.items():
+            es = tuple(m[i] for i in idx)
+            prod = products.get(es)
+            if prod is None:
+                prod = one
+                for i, e in zip(idx, es):
+                    if e:
+                        prod = _mul_terms(prod, power(i, e), p)
+                products[es] = prod
+            base = list(m)
+            for i in idx:
+                base[i] = 0
+            for pm, pc in prod.items():
+                mm = tuple(map(add, base, pm))
+                acc[mm] = acc.get(mm, 0) + c * pc
+        out.append(Poly(ring, _reduced(acc, p)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +791,16 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
 
 
 def poly_str(p: Poly) -> str:
-    """Canonical printing; parse(poly_str(p)) == p bit-exactly."""
+    """Canonical printing; parse(poly_str(p)) == p bit-exactly.
+
+    The string is kept on p, so each polynomial is printed once.
+    """
+    if p._str is None:
+        p._str = _format_poly(p)
+    return p._str
+
+
+def _format_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
     F = p.ring.field

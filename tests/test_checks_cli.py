@@ -1,5 +1,6 @@
 """Check runner, scenario config, report determinism, and the CLI."""
 
+import dataclasses
 import json
 import os
 
@@ -10,10 +11,13 @@ from conekit.checks import (
     CHECK_ORDER,
     CHECKS,
     E0_FIBER_CHECK,
+    FAIL,
     INCONCLUSIVE,
+    INTERNAL_ERROR,
     NOT_APPLICABLE,
     PASS,
     REJECTED_GENERICITY,
+    CheckOutcome,
     run_check,
     run_check_two_prime,
 )
@@ -253,6 +257,42 @@ def test_cli_verify_stdout_and_overrides(capsys):
 def test_cli_verify_config_error_exit_2(capsys):
     assert main(["verify", "--scenario", "quadric-s2-h1", "--checks", "bogus"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _boom(cd, ctx):
+    raise ZeroDivisionError("injected")
+
+
+@pytest.mark.parametrize("fail_too,code", [(False, 3), (True, 1)])
+def test_cli_verify_check_that_raises_is_inconclusive(monkeypatch, capsys, fail_too, code):
+    # exit 3, not 1 (the code of a FAIL verdict); a real FAIL still exits 1
+    monkeypatch.setitem(CHECKS, "digamma", dataclasses.replace(CHECKS["digamma"], fn=_boom))
+    if fail_too:
+        monkeypatch.setitem(CHECKS, "expansion-g", dataclasses.replace(
+            CHECKS["expansion-g"], fn=lambda cd, ctx: CheckOutcome(FAIL)))
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g,digamma"])
+    assert rc == code
+    captured = capsys.readouterr()
+    rec = {r["name"]: r for r in json.loads(captured.out)["checks"]}
+    assert rec["expansion-g"]["status"] == (FAIL if fail_too else PASS)
+    assert rec["digamma"]["status"] == INCONCLUSIVE
+    assert rec["digamma"]["witnesses"][INTERNAL_ERROR] == "ZeroDivisionError: injected"
+    assert rec["digamma"]["witnesses"]["at"].startswith("test_checks_cli.py:")
+    assert "internal error in check digamma" in captured.err and "Traceback" in captured.err
+
+
+def test_check_that_raises_at_the_second_prime_names_the_fault(monkeypatch, capsys):
+    def second_prime_only(cd, ctx):
+        if cd.field_cfg.p == SECOND_PRIME:
+            raise RuntimeError("injected")
+        return CheckOutcome(PASS)
+
+    assert CHECKS["prop-2-5"].randomized
+    monkeypatch.setitem(CHECKS, "prop-2-5", dataclasses.replace(CHECKS["prop-2-5"], fn=second_prime_only))
+    out = run_check_two_prime("prop-2-5", quadric(), EngineContext(seed=0))
+    assert out.status == INCONCLUSIVE
+    assert out.witnesses[INTERNAL_ERROR] == "RuntimeError: injected"
+    assert out.witnesses["second-prime"] == SECOND_PRIME
 
 
 @pytest.mark.parametrize("cone_data,message", [

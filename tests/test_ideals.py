@@ -29,7 +29,7 @@ from conekit.ideals import (
     saturate_by_var,
     saturate_block,
 )
-from conekit.ring import AmbientSpace, PolyRing
+from conekit.ring import AmbientSpace, GrevlexOrder, LexOrder, PolyRing, substitute_all
 
 FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -129,6 +129,54 @@ def small_polys(max_terms=3, max_exp=2):
     monos = st.tuples(*[st.integers(0, max_exp)] * R3.nvars)
     pairs = st.lists(st.tuples(monos, st.integers(1, DEFAULT_PRIME - 1)), min_size=1, max_size=max_terms)
     return pairs.map(lambda ps: R3.from_int_terms(dict(ps))).filter(lambda p: not p.is_zero())
+
+
+XY_RINGS = [PolyRing(AmbientSpace.product(("x", 3), ("y", 2)), F) for F in (FP, QQ)]
+
+
+@st.composite
+def form_and_gens(draw):
+    ring = draw(st.sampled_from(XY_RINGS))
+    coeffs = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=3).filter(any))
+    form = ring.zero()
+    for c, v in zip(coeffs, ring.block_vars("x")):
+        form = form + v.scale(ring.field.from_int(c))
+    monos = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    terms = st.lists(st.tuples(monos, st.integers(-99, 99)), min_size=1, max_size=5)
+    gens = [ring.from_int_terms(dict(ts)) for ts in draw(st.lists(terms, min_size=1, max_size=3))]
+    return form, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=form_and_gens())
+def test_linear_change_round_trip(case):
+    """saturate_by_linear_form's change of coordinates sends the form to its
+    last variable, and its forward then back substitution is the identity."""
+    form, gens = case
+    v, fwd, back = ideals._linear_change(form)
+    assert form.substitute({v: fwd}) == form.ring.var(v)
+    assert substitute_all(substitute_all(gens, {v: fwd}), {v: back}) == gens
+    assert substitute_all(substitute_all(gens, {v: back}), {v: fwd}) == gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(gens=st.lists(small_polys(), min_size=1, max_size=4))
+def test_ideal_key_is_the_sorted_printed_generators(gens):
+    I = Ideal(R3, gens)
+    expect = (R3.key(), tuple(sorted(I.gen_strs())))
+    assert I.key() == expect  # first call: built
+    assert I.key() == expect  # second call: the cached value
+    assert Ideal(R3, gens[::-1]).key() == expect
+
+
+def test_memo_is_keyed_by_the_generator_set():
+    x0, x1, x2 = R3.gens()
+    ctx = EngineContext(seed=0)
+    basis = ctx.groebner(Ideal(R3, [x0 * x1 - x2 * x2, x1 + x2]))
+    assert ctx.groebner(Ideal(R3, [x1 + x2, x1 * x0 - x2 * x2])) is basis
+    assert ctx.groebner(Ideal(R3, [x1 + x2]), GrevlexOrder(3)) is not basis
+    assert ctx.groebner(Ideal(R3, [x1 + x2, x0 * x1 - x2 * x2]), LexOrder(3)) is not basis
+    assert len(ctx._memo) == 3
 
 
 @st.composite

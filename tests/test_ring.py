@@ -17,6 +17,7 @@ from conekit.ring import (
     PolyRing,
     RingError,
     poly_str,
+    substitute_all,
     taylor_shift_coefficient,
 )
 
@@ -251,6 +252,59 @@ def test_substitute_and_map_vars():
     small = PolyRing(AmbientSpace.product(("y", 2)), FP)
     q = (x0 * x0).map_vars({"x0": "y1"}, small)
     assert poly_str(q) == "y1^2"
+
+
+def naive_substitute(p, assignment):
+    """Term by term with Poly arithmetic: c * (unsubstituted part) * prod value^e."""
+    ring = p.ring
+    values = {ring.ambient.var_index(n): v for n, v in assignment.items()}
+    acc = ring.zero()
+    for m, c in p.terms.items():
+        term = ring.from_terms({tuple(0 if i in values else e for i, e in enumerate(m)): c})
+        for i, v in values.items():
+            term = term * v ** m[i]
+        acc = acc + term
+    return acc
+
+
+def check_substitute_matches_naive(ring, p, q, v0, v1):
+    assignment = {"x1": v0, "x2": v1}
+    got = substitute_all([p, q], assignment)
+    assert got == [naive_substitute(p, assignment), naive_substitute(q, assignment)]
+    assert p.substitute(assignment) == got[0]
+    assert p.substitute({"x0": 3}) == naive_substitute(p, {"x0": ring.const(ring.field.from_int(3))})
+    assert all(c != ring.field.zero for c in got[0].terms.values())
+
+
+@given(p=polys(), q=polys(), v0=polys(max_terms=3, max_exp=2), v1=polys(max_terms=3, max_exp=2))
+def test_substitute_matches_naive_expansion(p, q, v0, v1):
+    check_substitute_matches_naive(R3, p, q, v0, v1)
+
+
+@given(p=polys(ring=RQ), q=polys(ring=RQ), v0=polys(ring=RQ, max_terms=3, max_exp=2),
+       v1=polys(ring=RQ, max_terms=3, max_exp=2))
+def test_substitute_matches_naive_expansion_rationals(p, q, v0, v1):
+    check_substitute_matches_naive(RQ, p, q, v0, v1)
+
+
+def test_substitute_converts_values_and_rejects_mixed_rings():
+    small = PolyRing(AmbientSpace.product(("x", 2)), FP)
+    x0, x1, x2 = R3.gens()
+    assert (x2 * x2).substitute({"x2": small.parse("x0 + x1")}) == (x0 + x1) * (x0 + x1)
+    with pytest.raises(RingError):
+        substitute_all([x0, small.var("x0")], {"x0": x1})
+
+
+def test_printed_form_and_monic_are_computed_once():
+    p = R3.parse("x0^2 + 3*x1")
+    s = poly_str(p)
+    assert poly_str(p) is s
+    assert p.monic(R3.order) is p
+    q = R3.parse("2*x0^2 + x1")
+    assert q.monic(R3.order) == q.scale(FP.inv(2))
+    # equal rings compare equal whether or not they are one object
+    assert PolyRing(AmbientSpace.product(("x", 3)), FP) == R3
+    assert PolyRing(AmbientSpace.product(("x", 3)), QQ) != R3
 
 
 def test_taylor_shift_oracle():
