@@ -6,7 +6,9 @@ INCONCLUSIVE with the cap named in the witness.  Neither is a fault in the
 program: an unexpected exception inside a check surfaces as INCONCLUSIVE
 with an `internal-error` witness, and its traceback goes to stderr.
 Instances that fail the genericity gate reject the scenario
-(REJECTED-GENERICITY) rather than failing individual checks.
+(REJECTED-GENERICITY) rather than failing individual checks.  A cap hit or
+a fault inside the gate itself decides nothing: every check then reports
+the gate's INCONCLUSIVE outcome, with a `during` witness naming the gate.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from .cone import (
     ConeData,
@@ -52,6 +54,8 @@ REJECTED_GENERICITY = "REJECTED-GENERICITY"
 
 # the witness key of a check that raised an unexpected exception
 INTERNAL_ERROR = "internal-error"
+# the `during` witness of an outcome that the genericity gate's failure decided
+GATE = "genericity gate"
 
 
 @dataclass
@@ -72,10 +76,14 @@ class CheckDef:
     needs_points: bool = False
 
 
-def _gens_text(ideal: Ideal, limit: int = 12) -> List[str]:
-    out = [poly_str(g) for g in ideal.gens[:limit]]
-    if len(ideal.gens) > limit:
-        out.append("... (%d more)" % (len(ideal.gens) - limit))
+# a witness lists at most this many generators of an ideal
+WITNESS_GENS = 12
+
+
+def _gens_text(ideal: Ideal) -> List[str]:
+    out = [poly_str(g) for g in ideal.gens[:WITNESS_GENS]]
+    if len(ideal.gens) > WITNESS_GENS:
+        out.append("... (%d more)" % (len(ideal.gens) - WITNESS_GENS))
     return out
 
 
@@ -455,6 +463,44 @@ E0_FIBER_CHECK = CheckDef(
 )
 
 
+def _guarded(where: str, fn: Callable, *args):
+    """fn(*args), or the INCONCLUSIVE outcome of the exception it raised.
+
+    A resource cap is named in the witnesses.  Any other exception is a
+    fault in the program, never a verdict: its traceback goes to stderr and
+    the witnesses name it (`internal-error`) and where it was raised (`at`).
+    """
+    try:
+        return fn(*args)
+    except ResourceCapExceeded as exc:
+        return CheckOutcome(
+            INCONCLUSIVE,
+            witnesses={"resource-cap": exc.what, "detail": exc.detail},
+        )
+    except Exception as exc:
+        print("internal error in %s:" % where, file=sys.stderr)
+        traceback.print_exc()
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return CheckOutcome(
+            INCONCLUSIVE,
+            witnesses={
+                INTERNAL_ERROR: "%s: %s" % (type(exc).__name__, exc),
+                "at": "%s:%d in %s" % (os.path.basename(frame.filename),
+                                        frame.lineno, frame.name),
+            },
+        )
+
+
+def certify_gate(cd: ConeData, ctx: EngineContext) -> Union[GenericityReport, CheckOutcome]:
+    """The genericity report, or, when the gate hits a cap or raises, the
+    INCONCLUSIVE outcome that every check of the instance then reports; its
+    `during` witness names the gate."""
+    gate = _guarded(GATE, certify_genericity, cd, ctx)
+    if isinstance(gate, CheckOutcome):
+        gate.witnesses["during"] = GATE
+    return gate
+
+
 def run_check(
     name: str, cd: ConeData, ctx: EngineContext, genericity: Optional[GenericityReport] = None
 ) -> CheckOutcome:
@@ -463,7 +509,9 @@ def run_check(
         raise KeyError("unknown check %r (valid: %s)" % (name, ", ".join(CHECK_ORDER)))
     cdef = CHECKS[name]
     if genericity is None:
-        genericity = certify_genericity(cd, ctx)
+        genericity = certify_gate(cd, ctx)
+        if isinstance(genericity, CheckOutcome):
+            return genericity
     if genericity.rejected and name != "expansion-g":
         return CheckOutcome(
             REJECTED_GENERICITY,
@@ -483,25 +531,7 @@ def run_check(
             ],
         )
     else:
-        try:
-            outcome = cdef.fn(cd, ctx)
-        except ResourceCapExceeded as exc:
-            outcome = CheckOutcome(
-                INCONCLUSIVE,
-                witnesses={"resource-cap": exc.what, "detail": exc.detail},
-            )
-        except Exception as exc:  # a fault in the program, never a verdict
-            print("internal error in check %s:" % name, file=sys.stderr)
-            traceback.print_exc()
-            frame = traceback.extract_tb(exc.__traceback__)[-1]
-            outcome = CheckOutcome(
-                INCONCLUSIVE,
-                witnesses={
-                    INTERNAL_ERROR: "%s: %s" % (type(exc).__name__, exc),
-                    "at": "%s:%d in %s" % (os.path.basename(frame.filename),
-                                            frame.lineno, frame.name),
-                },
-            )
+        outcome = _guarded("check %s" % name, cdef.fn, cd, ctx)
     if genericity.notes and name != "expansion-g":
         outcome.notes = list(outcome.notes) + [
             "genericity-note: %s" % n for n in genericity.notes

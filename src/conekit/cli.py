@@ -4,6 +4,7 @@ manage the basis cache, and expose the raw engine."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -12,7 +13,7 @@ from typing import List, Optional
 from .cache import BasisCache
 from .checks import CHECK_ORDER, CHECKS
 from .fields import FieldConfig, FieldError
-from .groebner import DEFAULT_CAPS, ResourceCaps, buchberger
+from .groebner import DEFAULT_CAPS, buchberger
 from .report import (
     ConfigError,
     ScenarioConfig,
@@ -38,22 +39,16 @@ def _default_cache() -> Optional[str]:
 
 
 def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    caps = cfg.caps
     # compare with None: an explicit 0 must reach ScenarioConfig's positivity check
-    if args.cap_basis is not None or args.cap_bits is not None:
-        caps = ResourceCaps(
-            max_basis=caps.max_basis if args.cap_basis is None else args.cap_basis,
-            max_pairs=caps.max_pairs,
-            max_coeff_bits=caps.max_coeff_bits if args.cap_bits is None else args.cap_bits,
-            max_reduction_steps=caps.max_reduction_steps,
-        )
-    return ScenarioConfig(
-        preset_name=cfg.preset_name,
-        cone_literal=cfg.cone_literal,
+    caps = {attr: value for attr, value in (("max_basis", args.cap_basis),
+                                            ("max_coeff_bits", args.cap_bits))
+            if value is not None}
+    return dataclasses.replace(
+        cfg,
         field=args.field or cfg.field,
         checks=tuple(args.checks.split(",")) if args.checks else cfg.checks,
         seed=args.seed if args.seed is not None else cfg.seed,
-        caps=caps,
+        caps=dataclasses.replace(cfg.caps, **caps),
         cache_dir=args.cache or cfg.cache_dir or _default_cache(),
         out_path=args.out or cfg.out_path,
         timings=args.timings or cfg.timings,

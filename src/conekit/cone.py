@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, FieldConfig, PrimeField
+from .fields import Field, FieldConfig
 from .ideals import (
     EngineContext,
     Ideal,
@@ -151,9 +151,9 @@ def twist_matrix(cd: ConeData, t, z) -> List[List[object]]:
     F = cd.field_cfg.field()
     t = F.from_int(t) if isinstance(t, int) else t
     z = F.from_int(z) if isinstance(z, int) else z
-    if F.is_zero(t):
+    if not t:
         raise ConeDataError("twist is undefined at t = 0")
-    if F.is_zero(z):
+    if not z:
         raise ConeDataError("twist is undefined at the unsteady point z = 0")
     m = cd.nx
     p = cd.pivot
@@ -161,8 +161,8 @@ def twist_matrix(cd: ConeData, t, z) -> List[List[object]]:
     for i in range(p):
         mat[i][i] = F.one
     # column convention: column j holds the image of e_j
-    mat[p][p] = F.mul(t, z)
-    mat[0][p] = F.neg(t)
+    mat[p][p] = t * z % F.p if F.p else t * z
+    mat[0][p] = -t % F.p if F.p else -t
     for i in range(p + 1, m):
         mat[i][i] = t
     return mat
@@ -378,7 +378,6 @@ def _section_smooth(cd: ConeData, kept: Sequence[int], ctx: EngineContext) -> bo
 
 
 def _partial(ring: PolyRing, g: Poly, idx: int) -> Poly:
-    F = ring.field
     out = {}
     for m, c in g.terms.items():
         e = m[idx]
@@ -386,7 +385,7 @@ def _partial(ring: PolyRing, g: Poly, idx: int) -> Poly:
             nm = list(m)
             nm[idx] = e - 1
             key = tuple(nm)
-            out[key] = F.add(out.get(key, F.zero), F.mul(c, F.from_int(e)))
+            out[key] = out.get(key, 0) + c * e
     return ring.from_terms(out)
 
 
@@ -408,8 +407,8 @@ def certify_genericity(cd: ConeData, ctx: EngineContext) -> GenericityReport:
         notes.append("complementary plane section is singular or degenerate")
     # small characteristics dividing deg f break the multiplicity accounting
     bad_char = False
-    F = cd.field_cfg.field()
-    if isinstance(F, PrimeField) and cd.f_deg() % F.p == 0:
+    p = cd.field_cfg.field().p
+    if p and cd.f_deg() % p == 0:
         bad_char = True
         notes.append("field characteristic divides the hypersurface degree")
     return GenericityReport(
@@ -551,9 +550,11 @@ def _value_at(form: Poly, coords: Sequence) -> object:
     return next(iter(const.terms.values()), form.ring.field.zero)
 
 
-def covering_degree_report(
-    cd: ConeData, ctx: EngineContext, samples: int = 3, trials: int = 40
-) -> Optional[CoveringReport]:
+# the number of fibres w-covering counts
+COVERING_SAMPLES = 3
+
+
+def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[CoveringReport]:
     """Fibre lengths of the z-twisted projection pi_z restricted to X.
 
     For h = 1 the first-order pencil factors as
@@ -576,19 +577,19 @@ def covering_degree_report(
     counts: List[int] = []
     params: List[Tuple[int, int]] = []
     pts: List[Tuple[int, ...]] = []
-    for k in range(samples * 6):
-        if len(counts) >= samples:
+    for k in range(COVERING_SAMPLES * 6):
+        if len(counts) >= COVERING_SAMPLES:
             break
         rng = ctx.rng("w-covering", k)
         z = (F.sample_nonzero(rng), F.sample_nonzero(rng))
         at_z = {"z0": twisted.source_ring.const(z[0]), "z1": twisted.source_ring.const(z[1])}
         forms = tuple(g.substitute(at_z).map_vars({}, ring_x) for g in twisted.forms)
         probe_ctx = EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed + 1000 + k)
-        pt = random_point(X, probe_ctx, trials=trials)
+        pt = random_point(X, probe_ctx)
         if pt is None:
             continue
         image = [_value_at(g, pt.coords) for g in forms]
-        if all(F.is_zero(v) for v in image):
+        if not any(image):
             continue  # the sample is the centre itself
         graph = graph_closure(RationalMapSpec(X, twisted.target_block, forms), ctx)
         hd = fiber(graph, {"y": image}, ctx, project=True).hilbert(ctx)
@@ -597,7 +598,7 @@ def covering_degree_report(
         counts.append(hd.degree)
         params.append(z)
         pts.append(pt.coords)
-    if len(counts) < samples:
+    if len(counts) < COVERING_SAMPLES:
         return None
     return CoveringReport(expected=cd.f_deg(), counts=counts, parameters=params, points=pts)
 
@@ -668,7 +669,7 @@ def pushforward_degree(gamma: Subscheme, image: Subscheme, ctx: EngineContext) -
     lengths: List[int] = []
     for k in range(2):
         probe_ctx = EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed + 2000 + k)
-        pt = random_point(image, probe_ctx, trials=40)
+        pt = random_point(image, probe_ctx)
         if pt is None:
             continue
         hd = fiber(gamma, {"x": pt.coords}, ctx, project=True).hilbert(ctx)
@@ -850,11 +851,9 @@ def join_support_matches_operator(
 # concrete delta builders
 
 
-def delta_point_on(
-    S: Subscheme, ctx: EngineContext, trials: int = 40
-) -> Optional[Ideal]:
+def delta_point_on(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     """Ideal of one rational point of S, in S's own ring."""
-    pt = random_point(S, ctx, trials=trials)
+    pt = random_point(S, ctx)
     if pt is None:
         return None
     return Ideal(S.ring, point_forms(S.ring, pt.block, pt.coords))
@@ -870,7 +869,7 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     """
     ring = S.ring
     F = ring.field
-    if ring.nvars != 4 or len(S.ideal.gens) != 1 or not isinstance(F, PrimeField):
+    if ring.nvars != 4 or len(S.ideal.gens) != 1 or not F.p:
         return None
     g = S.ideal.gens[0]
     amb = AmbientSpace.product(("a", 1), ("b", 1), ("s", 1), ("t", 1), affine=("a", "b", "s", "t"))

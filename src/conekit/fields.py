@@ -1,8 +1,11 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
 All arithmetic is exact.  Elements are plain Python values (``Fraction``
-for the rationals, ``int`` residues for prime fields) and the field
-objects carry the operations, so polynomials stay lightweight.
+for the rationals, ``int`` residues for prime fields) under Python's own
+operators.  A field object holds only what differs between the two: its
+characteristic ``p`` (0 for Q), inverses, conversion from ints, sampling
+and the printed form of a coefficient.  Code that computes with
+coefficients reduces its result once by ``% p`` when ``p`` is nonzero.
 """
 
 from __future__ import annotations
@@ -49,38 +52,21 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface; concrete fields below."""
+    """What differs between Q and F_p; the arithmetic itself is Python's.
+
+    `p` is the characteristic: 0 for Q, where values are `Fraction`s and
+    nothing is reduced, and the modulus for F_p, where values are int
+    residues and a result is reduced by one `% p`.
+    """
 
     name: str
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        if self.is_zero(b):
-            raise ZeroDivisionError("division by zero in %s" % self.name)
-        return self.mul(a, self.inv(b))
-
-    def neg(self, a):
-        raise NotImplementedError
+    p = 0
 
     def inv(self, a):
         raise NotImplementedError
 
-    def is_zero(self, a) -> bool:
-        raise NotImplementedError
-
     def from_int(self, n: int):
         raise NotImplementedError
-
-    def from_fraction(self, fr: Fraction):
-        return self.div(self.from_int(fr.numerator), self.from_int(fr.denominator))
 
     @property
     def zero(self):
@@ -96,17 +82,19 @@ class Field:
     def sample_nonzero(self, rng: random.Random):
         while True:
             a = self.sample(rng)
-            if not self.is_zero(a):
+            if a:
                 return a
 
     def coeff_str(self, a) -> str:
         return str(a)
 
     def coeff_parse(self, s: str):
-        if "/" in s:
-            num, den = s.split("/")
-            return self.from_fraction(Fraction(int(num), int(den)))
-        return self.from_int(int(s))
+        """The value of an integer or `a/b` literal."""
+        if "/" not in s:
+            return self.from_int(int(s))
+        num, den = s.split("/")
+        q = self.from_int(int(num)) * self.inv(self.from_int(int(den)))
+        return q % self.p if self.p else q
 
     def coeff_bits(self, a) -> int:
         return 1
@@ -129,31 +117,13 @@ class RationalField(Field):
     # height bound for sampled rationals, |num|,|den| <= 2**16
     SAMPLE_HEIGHT = 1 << 16
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / Fraction(a)
 
-    def is_zero(self, a):
-        return a == 0
-
     def from_int(self, n):
         return Fraction(n)
-
-    def from_fraction(self, fr):
-        return Fraction(fr)
 
     def sample(self, rng):
         num = rng.randint(-self.SAMPLE_HEIGHT, self.SAMPLE_HEIGHT)
@@ -178,39 +148,16 @@ class PrimeField(Field):
         self.p = p
         self.name = "Fp:%d" % p
 
-    def add(self, a, b):
-        c = a + b
-        return c - self.p if c >= self.p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return self.p - a if a else 0
-
     def inv(self, a):
-        if a == 0:
+        if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in %s" % self.name)
         return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a):
-        return a == 0
 
     def from_int(self, n):
         return n % self.p
 
     def sample(self, rng):
         return rng.randrange(self.p)
-
-    def coeff_parse(self, s):
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return self.from_int(int(s))
 
 
 DEFAULT_PRIME = 31991

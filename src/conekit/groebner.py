@@ -38,10 +38,13 @@ appended later joins every list whose mask holds its lead support; so the
 first dividing lead in basis order is the one chosen, as a scan of all
 leads would choose it.
 
-Coefficients are plain Python numbers under Python operators.  Over F_p a
-pending coefficient may be any int; it is reduced by one `% p` when its
-term is popped, and the reducer's output is reduced.  Over Q the values
-are `Fraction`s, which are always canonical, and no `%` is taken.
+Coefficients are plain Python numbers under Python operators, the rule of
+the whole package (see `ring`): `_Work.p` is the field's characteristic
+`Field.p`.  Over F_p a pending coefficient may be any int; it is reduced by
+one `% p` when its term is popped, and the reducer's output is reduced.
+Over Q (p = 0) the values are `Fraction`s, which are always canonical, and
+no `%` is taken.  The only field operation the engine calls is `inv`, to
+make an element monic.
 
 Exponents never overflow silently.  A polynomial is packed only if its
 total degree fits in a field.  Each basis element keeps the bitwise OR of its
@@ -59,7 +62,6 @@ from itertools import chain
 from operator import mul, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import PrimeField
 from .ring import Monomial, MonomialOrder, Poly, PolyRing
 
 
@@ -196,7 +198,7 @@ class _Work:
         self.caps = caps
         self.field = ring.field
         # the modulus of the coefficient arithmetic; 0 over Q, where nothing is reduced
-        self.p = self.field.p if isinstance(self.field, PrimeField) else 0
+        self.p = self.field.p
         self.layout = _layout(order, ring.nvars, width)
         self.exp = self.layout.exp
         self.guard = self.layout.guard
@@ -215,9 +217,9 @@ class _Work:
         """The basis element of `terms`, divided by its lead coefficient."""
         ms, cs = zip(*terms)
         if cs[0] != 1:
-            F = self.field
-            inv = F.inv(cs[0])
-            cs = [F.mul(c, inv) for c in cs]
+            p = self.p
+            inv = self.field.inv(cs[0])
+            cs = [c * inv % p for c in cs] if p else [c * inv for c in cs]
         return ms[0], ms[1:], tuple(cs[1:]), reduce(or_, ms)
 
     def pack_basis(self, basis: Sequence[Poly]) -> _Basis:

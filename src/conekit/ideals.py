@@ -254,8 +254,8 @@ def exact_div(p: Poly, g: Poly) -> Poly:
         raise IdealError("division by the zero polynomial")
     ring = p.ring
     order = ring.order
-    F = ring.field
     lg_m, lg_c = g.lead(order)
+    inv_lg = ring.field.inv(lg_c)
     q = ring.zero()
     rem = p
     while not rem.is_zero():
@@ -263,8 +263,7 @@ def exact_div(p: Poly, g: Poly) -> Poly:
         if any(a < b for a, b in zip(lm, lg_m)):
             raise IdealError("polynomial is not divisible")
         qm = tuple(a - b for a, b in zip(lm, lg_m))
-        qc = F.div(lc, lg_c)
-        qt = Poly(ring, {qm: qc})
+        qt = ring.from_terms({qm: lc * inv_lg})
         q = q + qt
         rem = rem - qt * g
     return q
@@ -327,16 +326,12 @@ def saturate_by_var(ideal: Ideal, varname: str, ctx: EngineContext = DEFAULT_CON
 
 
 def _random_block_linear(ring: PolyRing, block: str, rng: random.Random) -> Poly:
-    F = ring.field
-    idx = list(ring.ambient.block_range(block))
     terms = {}
-    for i in idx:
-        c = F.sample(rng)
-        if not F.is_zero(c):
-            m = [0] * ring.nvars
-            m[i] = 1
-            terms[tuple(m)] = c
-    p = Poly(ring, terms)
+    for i in ring.ambient.block_range(block):
+        m = [0] * ring.nvars
+        m[i] = 1
+        terms[tuple(m)] = ring.field.sample(rng)
+    p = ring.from_terms(terms)
     if p.is_zero():
         return _random_block_linear(ring, block, rng)
     return p
@@ -349,19 +344,18 @@ def _linear_change(form: Poly) -> Tuple[str, Poly, Poly]:
     that substitution.
     """
     ring = form.ring
-    F = ring.field
     support = sorted(form.variables())
     pivot = support[-1]
     pname = ring.ambient.varnames[pivot]
     coeffs = {i: form.coeff_of_var_power(i, 1).terms.get(ring._zero_mono) for i in support}
     c_p = coeffs[pivot]
     # fwd sends v_p to (v_p - sum_{i != p} c_i v_i)/c_p
-    inv_cp = F.inv(c_p)
+    inv_cp = ring.field.inv(c_p)
     fwd = ring.var(pname).scale(inv_cp)
     back = ring.var(pname).scale(c_p)
     for i in support[:-1]:
         vi = ring.var_by_index(i)
-        fwd = fwd - vi.scale(F.mul(coeffs[i], inv_cp))
+        fwd = fwd - vi.scale(coeffs[i] * inv_cp)
         back = back + vi.scale(coeffs[i])
     return pname, fwd, back
 
@@ -562,46 +556,48 @@ def _minimalize_monomials(leads: Sequence[Tuple[int, ...]]) -> List[Tuple[int, .
 
 def hilbert_numerator(leads: Sequence[Tuple[int, ...]], nvars: int) -> List[int]:
     """Numerator of the Hilbert series of R/(lead monomials) over (1-t)^nvars."""
-    memo: Dict[frozenset, Tuple[int, ...]] = {}
+    return _hilbert_rec(_minimalize_monomials(leads), nvars, {})
 
-    def rec(mons: List[Tuple[int, ...]]) -> List[int]:
-        if not mons:
-            return [1]
-        if any(sum(m) == 0 for m in mons):
-            return [0]
-        key = frozenset(mons)
-        hit = memo.get(key)
-        if hit is not None:
-            return list(hit)
-        # pairwise-coprime monomials form a regular sequence: product formula
-        supports = [tuple(i for i, e in enumerate(m) if e) for m in mons]
-        flat = [i for s in supports for i in s]
-        if len(flat) == len(set(flat)):
-            acc = [1]
-            for m in mons:
-                acc = _poly1_mul(acc, _one_minus_t_pow(sum(m)))
-            memo[key] = tuple(acc)
-            return acc
-        # pivot on the most shared variable
-        counts = [0] * nvars
+
+def _hilbert_rec(mons: List[Tuple[int, ...]], nvars: int,
+                 memo: Dict[frozenset, Tuple[int, ...]]) -> List[int]:
+    # a module-level function, not a closure: a recursive closure is a
+    # reference cycle, and its memo would live until the cyclic collector ran
+    if not mons:
+        return [1]
+    if any(sum(m) == 0 for m in mons):
+        return [0]
+    key = frozenset(mons)
+    hit = memo.get(key)
+    if hit is not None:
+        return list(hit)
+    # pairwise-coprime monomials form a regular sequence: product formula
+    supports = [tuple(i for i, e in enumerate(m) if e) for m in mons]
+    flat = [i for s in supports for i in s]
+    if len(flat) == len(set(flat)):
+        acc = [1]
         for m in mons:
-            for i, e in enumerate(m):
-                if e:
-                    counts[i] += 1
-        v = max(range(nvars), key=lambda i: counts[i])
-        # I + (v): generators divisible by v become redundant
-        plus = _minimalize_monomials(
-            [m for m in mons if m[v] == 0] + [_unit_at(nvars, v)]
-        )
-        # I : v -- drop one power of v where present
-        colon = _minimalize_monomials([_dec_at(m, v) if m[v] else m for m in mons])
-        n_plus = rec(plus)
-        n_colon = rec(colon)
-        acc = _trim(_poly1_add_shifted(n_plus, n_colon, 1))
+            acc = _poly1_mul(acc, _one_minus_t_pow(sum(m)))
         memo[key] = tuple(acc)
         return acc
-
-    return rec(_minimalize_monomials(leads))
+    # pivot on the most shared variable
+    counts = [0] * nvars
+    for m in mons:
+        for i, e in enumerate(m):
+            if e:
+                counts[i] += 1
+    v = max(range(nvars), key=lambda i: counts[i])
+    # I + (v): generators divisible by v become redundant
+    plus = _minimalize_monomials(
+        [m for m in mons if m[v] == 0] + [_unit_at(nvars, v)]
+    )
+    # I : v -- drop one power of v where present
+    colon = _minimalize_monomials([_dec_at(m, v) if m[v] else m for m in mons])
+    n_plus = _hilbert_rec(plus, nvars, memo)
+    n_colon = _hilbert_rec(colon, nvars, memo)
+    acc = _trim(_poly1_add_shifted(n_plus, n_colon, 1))
+    memo[key] = tuple(acc)
+    return acc
 
 
 def _one_minus_t_pow(d: int) -> List[int]:
@@ -680,7 +676,6 @@ def linear_forms_in(
     for vec in kernel_basis(F, rows, len(idx)):
         acc = ring.zero()
         for c, i in zip(vec, idx):
-            if not F.is_zero(c):
-                acc = acc + ring.var_by_index(i).scale(c)
+            acc = acc + ring.var_by_index(i).scale(c)
         forms.append(acc)
     return forms

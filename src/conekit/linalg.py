@@ -1,4 +1,9 @@
-"""Small dense exact linear algebra over a Field (Gaussian elimination)."""
+"""Small dense exact linear algebra over a Field (Gaussian elimination).
+
+Entries are field values under Python operators.  Every new row is reduced
+once by `% p` over F_p (p = field.p; nothing over Q), so entries stay
+canonical and a zero entry is falsy.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,13 @@ from .fields import Field
 Matrix = List[List[object]]
 
 
+def _reduced_row(row: List[object], p: int) -> List[object]:
+    return [v % p for v in row] if p else row
+
+
 def rref(field: Field, rows: Matrix) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form and pivot column list (rows are copied)."""
+    p = field.p
     m = [list(r) for r in rows]
     if not m:
         return m, []
@@ -18,20 +28,16 @@ def rref(field: Field, rows: Matrix) -> Tuple[Matrix, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, v) for v in m[r]]
+        m[r] = _reduced_row([inv * v for v in m[r]], p)
         for i in range(len(m)):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _reduced_row([a - f * b for a, b in zip(m[i], m[r])], p)
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -41,6 +47,7 @@ def rref(field: Field, rows: Matrix) -> Tuple[Matrix, List[int]]:
 
 def kernel_basis(field: Field, rows: Matrix, ncols: int) -> List[List[object]]:
     """Basis of the right kernel {v : rows @ v = 0}."""
+    p = field.p
     red, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
@@ -49,31 +56,28 @@ def kernel_basis(field: Field, rows: Matrix, ncols: int) -> List[List[object]]:
         v = [field.zero] * ncols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            v[pc] = -red[r][fc] % p if p else -red[r][fc]
         basis.append(v)
     return basis
 
 
 def determinant(field: Field, rows: Matrix):
-    """Fraction-free-ish determinant by elimination (exact field, so plain)."""
+    """Determinant by elimination (exact field, so plain)."""
+    p = field.p
     n = len(rows)
     m = [list(r) for r in rows]
     det = field.one
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not field.is_zero(m[i][c]):
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
             return field.zero
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
-            det = field.neg(det)
-        det = field.mul(det, m[c][c])
+            det = -det
+        det = det * m[c][c]
         inv = field.inv(m[c][c])
         for i in range(c + 1, n):
-            if not field.is_zero(m[i][c]):
-                f = field.mul(m[i][c], inv)
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[c])]
-    return det
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = _reduced_row([a - f * b for a, b in zip(m[i], m[c])], p)
+    return det % p if p else det

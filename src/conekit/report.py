@@ -19,9 +19,11 @@ from .checks import (
     CHECKS,
     FAIL,
     INTERNAL_ERROR,
+    CheckOutcome,
+    certify_gate,
     run_check_two_prime,
 )
-from .cone import ConeData, ConeDataError, PRESETS, certify_genericity, preset
+from .cone import ConeData, ConeDataError, PRESETS, preset
 from .fields import FieldConfig, FieldError
 from .groebner import DEFAULT_CAPS, ResourceCaps
 from .ideals import EngineContext
@@ -29,6 +31,15 @@ from .ideals import EngineContext
 
 class ConfigError(Exception):
     pass
+
+
+# each resource cap: its key in a scenario's "caps" object, its ResourceCaps field
+CAP_KEYS = (
+    ("max-basis", "max_basis"),
+    ("max-pairs", "max_pairs"),
+    ("max-coeff-bits", "max_coeff_bits"),
+    ("max-reduction-steps", "max_reduction_steps"),
+)
 
 
 @dataclass(frozen=True)
@@ -57,12 +68,7 @@ class ScenarioConfig:
             raise ConfigError(
                 "unknown preset %r (have: %s)" % (self.preset_name, ", ".join(sorted(PRESETS)))
             )
-        if min(
-            self.caps.max_basis,
-            self.caps.max_pairs,
-            self.caps.max_coeff_bits,
-            self.caps.max_reduction_steps,
-        ) <= 0:
+        if min(getattr(self.caps, attr) for _, attr in CAP_KEYS) <= 0:
             raise ConfigError("resource caps must be positive")
         try:
             self.cone_data()
@@ -85,8 +91,7 @@ class ScenarioConfig:
         if not isinstance(caps_d, dict):
             raise ConfigError("caps must be a JSON object")
         caps = {}
-        for key in ("max-basis", "max-pairs", "max-coeff-bits", "max-reduction-steps"):
-            attr = key.replace("-", "_")
+        for key, attr in CAP_KEYS:
             value = caps_d.get(key, getattr(DEFAULT_CAPS, attr))
             if type(value) is not int:
                 raise ConfigError("cap %r must be an integer, not %r" % (key, value))
@@ -126,12 +131,7 @@ class ScenarioConfig:
             "field": self.field,
             "checks": list(self.checks),
             "seed": self.seed,
-            "caps": {
-                "max-basis": self.caps.max_basis,
-                "max-pairs": self.caps.max_pairs,
-                "max-coeff-bits": self.caps.max_coeff_bits,
-                "max-reduction-steps": self.caps.max_reduction_steps,
-            },
+            "caps": {key: getattr(self.caps, attr) for key, attr in CAP_KEYS},
         }
         if self.preset_name is not None:
             d["preset"] = self.preset_name
@@ -160,11 +160,12 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     cd = cfg.cone_data()
     cache = BasisCache(cfg.cache_dir) if cfg.cache_dir else None
     ctx = EngineContext(caps=cfg.caps, cache=cache, seed=cfg.seed)
-    genericity = certify_genericity(cd, ctx)
+    genericity = certify_gate(cd, ctx)
+    gate_failed = isinstance(genericity, CheckOutcome)
     records: List[dict] = []
     for name in cfg.checks:
         start = time.monotonic()
-        outcome = run_check_two_prime(name, cd, ctx, genericity)
+        outcome = genericity if gate_failed else run_check_two_prime(name, cd, ctx, genericity)
         rec = {
             "name": name,
             "paper-anchor": CHECKS[name].anchor,
@@ -186,19 +187,25 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             "f": cd.f_text,
             "field": cd.field_cfg.spec,
         },
-        "genericity": {
-            "hypersurface-smooth": genericity.hypersurface_smooth,
-            "section-h-smooth": genericity.section_h_smooth,
-            "section-rest-smooth": genericity.section_rest_smooth,
-            "first-order-nonzero": genericity.pencil.nonzero,
-            "first-order-parameter-dependent": genericity.pencil.z_dependent,
-            "rejected": genericity.rejected,
-            "notes": list(genericity.notes),
-        },
+        "genericity": _genericity_record(genericity),
         "checks": records,
         "summary": {s: statuses.count(s) for s in sorted(set(statuses))},
     }
     return report
+
+
+def _genericity_record(genericity) -> dict:
+    if isinstance(genericity, CheckOutcome):
+        return {"status": genericity.status, "witnesses": genericity.witnesses}
+    return {
+        "hypersurface-smooth": genericity.hypersurface_smooth,
+        "section-h-smooth": genericity.section_h_smooth,
+        "section-rest-smooth": genericity.section_rest_smooth,
+        "first-order-nonzero": genericity.pencil.nonzero,
+        "first-order-parameter-dependent": genericity.pencil.z_dependent,
+        "rejected": genericity.rejected,
+        "notes": list(genericity.notes),
+    }
 
 
 def report_bytes(report: dict) -> bytes:

@@ -4,16 +4,24 @@ Variables come in named blocks (t | z | x | y | affine aux blocks), one
 block per projective factor of the ambient product.  Monomials are
 exponent tuples; polynomials are immutable term dicts tagged with their
 ring.  Orders include grevlex, lex, and block elimination orders.
+
+Coefficients are plain Python numbers under Python operators.  A path that
+builds a polynomial sums and multiplies raw values and reduces them once,
+through `_reduced` (or `_mul_terms`, which ends in it): `% p` over F_p,
+nothing over Q, where the values are `Fraction`s and always canonical.
+Only `Poly.__add__` reduces as it goes, since it touches only the other
+operand's terms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, PrimeField
+from .fields import Field
 
 Monomial = Tuple[int, ...]
 
@@ -254,9 +262,7 @@ class PolyRing:
         return self.const(self.field.one)
 
     def const(self, c) -> "Poly":
-        if self.field.is_zero(c):
-            return self.zero()
-        return Poly(self, {self._zero_mono: c})
+        return self.from_terms({self._zero_mono: c})
 
     def var(self, name: str) -> "Poly":
         return self.var_by_index(self.ambient.var_index(name))
@@ -267,11 +273,8 @@ class PolyRing:
         return Poly(self, {tuple(m): self.field.one})
 
     def from_terms(self, terms: Dict[Monomial, object]) -> "Poly":
-        clean = {m: c for m, c in terms.items() if not self.field.is_zero(c)}
-        return Poly(self, clean)
-
-    def from_int_terms(self, terms: Dict[Monomial, int]) -> "Poly":
-        return self.from_terms({m: self.field.from_int(c) for m, c in terms.items()})
+        """The polynomial of `terms`, its coefficients reduced and zeros dropped."""
+        return Poly(self, _reduced(terms, self.field.p))
 
     def gens(self) -> List["Poly"]:
         return [self.var_by_index(i) for i in range(self.nvars)]
@@ -342,15 +345,15 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.const(self.ring.field.from_int(other))
         self._check(other)
-        F = self.ring.field
+        p = self.ring.field.p
         out = dict(self.terms)
         for m, c in other.terms.items():
             if m in out:
-                s = F.add(out[m], c)
-                if F.is_zero(s):
-                    del out[m]
-                else:
+                s = (out[m] + c) % p if p else out[m] + c
+                if s:
                     out[m] = s
+                else:
+                    del out[m]
             else:
                 out[m] = c
         return Poly(self.ring, out)
@@ -359,12 +362,9 @@ class Poly:
         return self.__add__(other)
 
     def __neg__(self):
-        F = self.ring.field
-        return Poly(self.ring, {m: F.neg(c) for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.const(self.ring.field.from_int(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -374,22 +374,7 @@ class Poly:
         if isinstance(other, int):
             other = self.ring.const(self.ring.field.from_int(other))
         self._check(other)
-        F = self.ring.field
-        out: Dict[Monomial, object] = {}
-        small, big = (self.terms, other.terms) if len(self.terms) <= len(other.terms) else (other.terms, self.terms)
-        for m1, c1 in small.items():
-            for m2, c2 in big.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = F.mul(c1, c2)
-                if m in out:
-                    s = F.add(out[m], c)
-                    if F.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-                else:
-                    out[m] = c
-        return Poly(self.ring, out)
+        return Poly(self.ring, _mul_terms(self.terms, other.terms, self.ring.field.p))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -407,10 +392,7 @@ class Poly:
         return result
 
     def scale(self, c) -> "Poly":
-        F = self.ring.field
-        if F.is_zero(c):
-            return self.ring.zero()
-        return Poly(self.ring, {m: F.mul(c, v) for m, v in self.terms.items()})
+        return self.ring.from_terms({m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -439,14 +421,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def degree_in(self, indices: Sequence[int]) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m[i] for i in indices) for m in self.terms)
-
-    def block_degree(self, block: str) -> int:
-        return self.degree_in(list(self.ring.ambient.block_range(block)))
 
     def variables(self) -> set:
         out = set()
@@ -488,10 +462,9 @@ class Poly:
         if not self.terms:
             return self
         _, c = self.lead(order)
-        F = self.ring.field
-        if c == F.one:
+        if c == 1:
             return self
-        return self.scale(F.inv(c))
+        return self.scale(self.ring.field.inv(c))
 
     # substitution -------------------------------------------------------
 
@@ -516,15 +489,8 @@ class Poly:
                 if e:
                     nm[mapping[i]] += e
             key = tuple(nm)
-            if key in out:
-                c2 = target.field.add(out[key], c)
-                if target.field.is_zero(c2):
-                    del out[key]
-                else:
-                    out[key] = c2
-            else:
-                out[key] = c
-        return Poly(target, out)
+            out[key] = out.get(key, 0) + c
+        return target.from_terms(out)
 
     # printing -----------------------------------------------------------
 
@@ -566,7 +532,7 @@ def substitute_all(polys: Sequence[Poly], assignment: Dict[str, object]) -> List
         return []
     ring = polys[0].ring
     F = ring.field
-    p = F.p if isinstance(F, PrimeField) else 0
+    p = F.p
     values: Dict[int, Dict[Monomial, object]] = {}
     for name, val in assignment.items():
         if isinstance(val, int):
@@ -578,15 +544,9 @@ def substitute_all(polys: Sequence[Poly], assignment: Dict[str, object]) -> List
         return polys
     idx = sorted(values)
     one = {ring._zero_mono: 1}
-    powers: Dict[Tuple[int, int], Dict[Monomial, object]] = {}
+    # powers[i][e - 1] is the e-th power of the value of variable i
+    powers: Dict[int, List[Dict[Monomial, object]]] = {i: [values[i]] for i in idx}
     products: Dict[Tuple[int, ...], Dict[Monomial, object]] = {}
-
-    def power(i: int, e: int) -> Dict[Monomial, object]:
-        key = (i, e)
-        if key not in powers:
-            powers[key] = values[i] if e == 1 else _mul_terms(power(i, e - 1), values[i], p)
-        return powers[key]
-
     out = []
     for poly in polys:
         if poly.ring != ring:
@@ -599,7 +559,10 @@ def substitute_all(polys: Sequence[Poly], assignment: Dict[str, object]) -> List
                 prod = one
                 for i, e in zip(idx, es):
                     if e:
-                        prod = _mul_terms(prod, power(i, e), p)
+                        pw = powers[i]
+                        while len(pw) < e:
+                            pw.append(_mul_terms(pw[-1], values[i], p))
+                        prod = _mul_terms(prod, pw[e - 1], p)
                 products[es] = prod
             base = list(m)
             for i in idx:
@@ -625,29 +588,16 @@ def taylor_shift_coefficient(p: Poly, tvar: str, r: int) -> Poly:
     ring = p.ring
     i = ring.ambient.var_index(tvar)
     # p(t) = sum_e c_e(x) t^e ;  substitute t = 1 + s, expand, read coeff of s^r
-    from math import comb
-
-    F = ring.field
     out: Dict[Monomial, object] = {}
     for m, c in p.terms.items():
         e = m[i]
         if e < r:
             continue
-        k = comb(e, r)
         nm = list(m)
         nm[i] = 0
         key = tuple(nm)
-        add = F.mul(c, F.from_int(k))
-        if key in out:
-            s = F.add(out[key], add)
-            if F.is_zero(s):
-                del out[key]
-            else:
-                out[key] = s
-        else:
-            if not F.is_zero(add):
-                out[key] = add
-    return Poly(ring, out)
+        out[key] = out.get(key, 0) + c * comb(e, r)
+    return ring.from_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +639,6 @@ class _Parser:
 
     def parse_expr(self) -> Poly:
         # expr := ['+'|'-'] term (('+'|'-') term)*, summed into one terms dict
-        F = self.ring.field
         out: Dict[Monomial, object] = {}
         op = "+"
         if self.peek() in (("op", "+"), ("op", "-")):
@@ -697,27 +646,22 @@ class _Parser:
         while True:
             for m, c in self.parse_term():
                 if op == "-":
-                    c = F.neg(c)
-                if m in out:
-                    s = F.add(out[m], c)
-                    if F.is_zero(s):
-                        del out[m]
-                    else:
-                        out[m] = s
-                else:
-                    out[m] = c
+                    c = -c
+                out[m] = out[m] + c if m in out else c
             kind, val = self.peek()
             if kind != "op" or val not in ("+", "-"):
-                return Poly(self.ring, out)
+                return self.ring.from_terms(out)
             op = self.next()[1]
 
     def parse_term(self) -> Iterable[Tuple[Monomial, object]]:
         # term := factor ('*' factor)*, as its (monomial, coefficient) pairs.
         # A product of numbers, variables and their powers is read straight
-        # into one pair; a product with a parenthesised factor is re-read
-        # from its start with Poly arithmetic.
+        # into one pair, its coefficient left for parse_expr to reduce; a
+        # product with a parenthesised factor is re-read from its start with
+        # Poly arithmetic.
         start = self.i
         F = self.ring.field
+        p = F.p
         coeff = F.one
         mono = [0] * self.ring.nvars
         while True:
@@ -725,11 +669,7 @@ class _Parser:
             if kind == "num":
                 c = F.coeff_parse(val)
                 e = self.parse_exponent()
-                while e:
-                    if e & 1:
-                        coeff = F.mul(coeff, c)
-                    c = F.mul(c, c)
-                    e >>= 1
+                coeff = coeff * (pow(c, e, p) if p else c ** e)
             elif kind == "var":
                 i = self.ring.ambient.var_index(val)
                 mono[i] += self.parse_exponent()
@@ -741,8 +681,6 @@ class _Parser:
             if self.peek() != ("op", "*"):
                 break
             self.next()
-        if F.is_zero(coeff):
-            return ()
         return ((tuple(mono), coeff),)
 
     def parse_product(self) -> Poly:

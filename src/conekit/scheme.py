@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import PrimeField
+from .fields import Field
 from .ideals import (
     EngineContext,
     HilbertData,
@@ -170,14 +170,14 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
 def point_forms(ring: PolyRing, block: str, coords: Sequence) -> List[Poly]:
     """Linear forms cutting out one point of the named block."""
     F = ring.field
-    vals = [c if not isinstance(c, int) else F.from_int(c) for c in coords]
+    vals = [F.from_int(c) if isinstance(c, int) else c for c in coords]
     idx = list(ring.ambient.block_range(block))
     if len(vals) != len(idx):
         raise SchemeError("point has %d coordinates, block %r has %d" % (len(vals), block, len(idx)))
     blk = ring.ambient.block(block)
     out = []
     if blk.projective:
-        if all(F.is_zero(v) for v in vals):
+        if not any(vals):
             raise SchemeError("all-zero projective point")
         for a in range(len(idx)):
             for b in range(a + 1, len(idx)):
@@ -447,7 +447,7 @@ def _split_linear_factors(g: List[int], p: int, start: int, out: List[int]) -> N
             out.append(v)
 
 
-def _univariate_roots(field: PrimeField, coeffs: List[int]) -> List[int]:
+def _univariate_roots(field: Field, coeffs: List[int]) -> List[int]:
     """Roots in F_p of sum coeffs[i] * v^i, ascending and without repeats.
 
     The roots are those of gcd(f, v^p - v), which is then split into its
@@ -468,74 +468,74 @@ def _univariate_roots(field: PrimeField, coeffs: List[int]) -> List[int]:
     return sorted(roots)
 
 
-def _solve_zero_dim(ideal: Ideal, ctx: EngineContext, limit: int = 64) -> List[Dict[int, int]]:
-    """All F_p points of a zero-dimensional affine-chart system.
+def _zero_dim_point(ideal: Ideal, ctx: EngineContext) -> Optional[Dict[int, int]]:
+    """The first F_p point of a zero-dimensional affine-chart system, or None.
 
     Back-substitutes through a lex basis: in lex, every variable owns a
     basis element using only that variable and later ones, so repeated
-    substitution always yields univariate conditions.
+    substitution always yields univariate conditions.  Points come in
+    ascending order of the last variable, then the one before it, and so on.
     """
     ring = ideal.ring
-    F = ring.field
-    if not isinstance(F, PrimeField):
+    if not ring.field.p:
         raise SchemeError("point solving needs a prime field")
     basis = ctx.groebner(ideal, LexOrder(ring.nvars))
     if any(b.is_constant() and not b.is_zero() for b in basis):
-        return []
-    nv = ring.nvars
-    solutions: List[Dict[int, int]] = []
+        return None
+    return next(_points(basis, ring.nvars - 1, {}), None)
 
-    def substitute_known(p: Poly, known: Dict[int, int]) -> Dict[Tuple[int, ...], int]:
+
+def _points(basis: Sequence[Poly], var: int, known: Dict[int, int]):
+    """The points of the lex basis that extend `known`, a solution for the
+    variables after `var`.
+
+    A module-level generator, not a closure: a recursive closure is a
+    reference cycle, which keeps the basis alive until the cyclic collector
+    runs.
+    """
+    if var < 0:
+        yield dict(known)
+        return
+    ring = basis[0].ring
+    p = ring.field.p
+    candidates: Optional[set] = None
+    for b in basis:
+        # b with the known coordinates substituted
         out: Dict[Tuple[int, ...], int] = {}
-        for m, c in p.terms.items():
-            val = c
+        for m, c in b.terms.items():
             nm = list(m)
             for i, v in known.items():
                 if nm[i]:
-                    val = val * pow(v, nm[i], F.p) % F.p
+                    c = c * pow(v, nm[i], p)
                     nm[i] = 0
             key = tuple(nm)
-            out[key] = (out.get(key, 0) + val) % F.p
-        return {m: c for m, c in out.items() if c}
-
-    def walk(var: int, known: Dict[int, int]):
-        if len(solutions) >= limit:
-            return
-        if var < 0:
-            solutions.append(dict(known))
-            return
-        candidates: Optional[set] = None
-        for b in basis:
-            reduced = substitute_known(b, known)
-            support = {i for m in reduced for i, e in enumerate(m) if e}
-            if not reduced:
-                continue
-            if not support:
-                return  # nonzero constant: dead branch
-            if support == {var}:
-                deg = max(m[var] for m in reduced)
-                coeffs = [0] * (deg + 1)
-                for m, c in reduced.items():
-                    coeffs[m[var]] = c
-                roots = set(_univariate_roots(F, coeffs))
-                candidates = roots if candidates is None else candidates & roots
-        if candidates is None:
-            return  # free variable: system is not zero-dimensional here
-        for r in sorted(candidates):
-            known[var] = r
-            walk(var - 1, known)
-            del known[var]
-            if len(solutions) >= limit:
-                return
-
-    walk(nv - 1, {})
-    return solutions
+            out[key] = out.get(key, 0) + c
+        reduced = ring.from_terms(out).terms
+        if not reduced:
+            continue
+        support = {i for m in reduced for i, e in enumerate(m) if e}
+        if not support:
+            return  # nonzero constant: dead branch
+        if support == {var}:
+            coeffs = [0] * (max(m[var] for m in reduced) + 1)
+            for m, c in reduced.items():
+                coeffs[m[var]] = c
+            roots = set(_univariate_roots(ring.field, coeffs))
+            candidates = roots if candidates is None else candidates & roots
+    if candidates is None:
+        return  # free variable: system is not zero-dimensional here
+    for r in sorted(candidates):
+        known[var] = r
+        yield from _points(basis, var - 1, known)
+        del known[var]
 
 
-def random_point(
-    S: Subscheme, ctx: EngineContext, trials: int = 30
-) -> Optional[PointWitness]:
-    """A rational point of S over its prime field, or None after all trials.
+# slicings random_point tries before it gives up
+POINT_TRIALS = 40
+
+
+def random_point(S: Subscheme, ctx: EngineContext) -> Optional[PointWitness]:
+    """A rational point of S over its prime field, or None after POINT_TRIALS slicings.
 
     Slices S with random hyperplanes down to dimension 0 and solves the
     resulting system chart by chart; deterministic under the context seed.
@@ -546,13 +546,13 @@ def random_point(
     blk = amb.blocks[0]
     ring = S.ring
     F = ring.field
-    if not isinstance(F, PrimeField):
+    if not F.p:
         raise SchemeError("point search needs a prime field")
     dim = S.dimension(ctx)
     if dim < 0:
         return None
     n = blk.size
-    for trial in range(trials):
+    for trial in range(POINT_TRIALS):
         rng = ctx.rng("random-point", S.ideal.key(), trial)
         slices = []
         for _ in range(dim):
@@ -566,9 +566,8 @@ def random_point(
         for chart in range(n):
             vname = blk.name + str(chart)
             chart_ideal = sliced.with_extra([ring.var(vname) - ring.one()])
-            sols = _solve_zero_dim(chart_ideal, ctx, limit=4)
-            if sols:
-                sol = sols[0]
+            sol = _zero_dim_point(chart_ideal, ctx)
+            if sol is not None:
                 coords = tuple(
                     sol.get(amb.block_range(blk.name)[i], 0) for i in range(n)
                 )

@@ -295,6 +295,45 @@ def test_check_that_raises_at_the_second_prime_names_the_fault(monkeypatch, caps
     assert out.witnesses["second-prime"] == SECOND_PRIME
 
 
+def test_cli_verify_gate_cap_is_inconclusive(capsys):
+    # the gate hits the basis cap before any check runs: INCONCLUSIVE, exit 0
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--cap-basis", "1",
+               "--checks", "expansion-g,omega-consistency"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    expected = {"resource-cap": "basis-size", "detail": "2", "during": checks.GATE}
+    assert rep["genericity"] == {"status": INCONCLUSIVE, "witnesses": expected}
+    for rec in rep["checks"]:
+        assert rec["status"] == INCONCLUSIVE
+        assert rec["witnesses"] == expected
+    assert "Traceback" not in captured.err
+
+
+def test_cli_verify_gate_fault_exits_3(monkeypatch, capsys):
+    def boom(cd, ctx):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(checks, "certify_genericity", boom)
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)["checks"][0]
+    assert rec["status"] == INCONCLUSIVE
+    assert rec["witnesses"][INTERNAL_ERROR] == "RuntimeError: injected"
+    assert rec["witnesses"]["during"] == checks.GATE
+    assert rec["witnesses"]["at"].startswith("test_checks_cli.py:")
+    assert "internal error in genericity gate" in captured.err
+
+
+def test_run_check_without_report_guards_the_gate():
+    out = run_check("omega-consistency", quadric(),
+                    EngineContext(caps=ResourceCaps(max_basis=1), seed=0))
+    assert out.status == INCONCLUSIVE
+    assert out.witnesses["resource-cap"] == "basis-size"
+    assert out.witnesses["during"] == checks.GATE
+
+
 @pytest.mark.parametrize("cone_data,message", [
     ({"n": 2, "h": 1, "f": "x0^2 + x1"}, "f must be a nonzero homogeneous form in x0..x3"),
     ({"n": 2, "h": 1, "f": "x0^2 + q7^2"}, "f: unknown variable 'q7'"),

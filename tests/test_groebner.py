@@ -292,7 +292,7 @@ def scaled(polys, field, rng):
         c = field.from_int(rng.randint(1, 10**6)) if field is QQ else rng.randrange(1, field.p)
         if field is QQ:
             c = c / rng.randint(1, 97)
-        out.append(g.ring.from_terms({m: field.mul(c, v) for m, v in g.terms.items()}))
+        out.append(g.ring.from_terms({m: c * v for m, v in g.terms.items()}))
     return out
 
 

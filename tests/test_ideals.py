@@ -128,7 +128,7 @@ R3 = PolyRing(AmbientSpace.product(("x", 3)), FP)
 def small_polys(max_terms=3, max_exp=2):
     monos = st.tuples(*[st.integers(0, max_exp)] * R3.nvars)
     pairs = st.lists(st.tuples(monos, st.integers(1, DEFAULT_PRIME - 1)), min_size=1, max_size=max_terms)
-    return pairs.map(lambda ps: R3.from_int_terms(dict(ps))).filter(lambda p: not p.is_zero())
+    return pairs.map(lambda ps: R3.from_terms(dict(ps))).filter(lambda p: not p.is_zero())
 
 
 XY_RINGS = [PolyRing(AmbientSpace.product(("x", 3), ("y", 2)), F) for F in (FP, QQ)]
@@ -143,7 +143,8 @@ def form_and_gens(draw):
         form = form + v.scale(ring.field.from_int(c))
     monos = st.tuples(*[st.integers(0, 3)] * ring.nvars)
     terms = st.lists(st.tuples(monos, st.integers(-99, 99)), min_size=1, max_size=5)
-    gens = [ring.from_int_terms(dict(ts)) for ts in draw(st.lists(terms, min_size=1, max_size=3))]
+    gens = [ring.from_terms({m: ring.field.from_int(c) for m, c in ts})
+            for ts in draw(st.lists(terms, min_size=1, max_size=3))]
     return form, gens
 
 

@@ -1,8 +1,8 @@
 """Report bytes pinned across commits.
 
 The sha256 of each report of the seven light checks (every check but the
-heavy prop-2-1 and prop-2-6) on the three presets at both standard primes,
-seed 0.  A change that is meant to keep reports byte-identical must keep
+heavy prop-2-1 and prop-2-6) on the three presets at both standard primes
+and over Q, seed 0.  A change that is meant to keep reports byte-identical must keep
 these hashes; one that changes a report on purpose records new ones.
 """
 
@@ -26,8 +26,25 @@ PINNED = {
 }
 
 
+# the same seven checks over Q, where coefficients are Fractions; the four
+# point-sampling checks read NOT-APPLICABLE there, and omega-consistency,
+# expansion-g and digamma compute
+PINNED_Q = {
+    "cubic-3f-h1": "d71ffa8b070f24f8b3858556f7c4aa9ad3a6fd8f61d3cb2298949cb0085cae92",
+    "cubic-3f-h2": "3612ad2b87f36952045bf7d79a6b6278da6dcf0e7bfaa3f93a02b71873dd8d5b",
+    "quadric-s2-h1": "1116d351762b92423078e9ce4e68bec466ca5fa4d7a3659bf965e4ed231c79a8",
+}
+
+
 @pytest.mark.parametrize("preset,prime", sorted(PINNED))
 def test_light_report_bytes_pinned(preset, prime):
     cfg = ScenarioConfig(preset_name=preset, field="Fp:%d" % prime, checks=LIGHT_CHECKS, seed=0)
     digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
     assert digest == PINNED[(preset, prime)]
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_Q))
+def test_light_report_bytes_pinned_over_rationals(preset):
+    cfg = ScenarioConfig(preset_name=preset, field="Q", checks=LIGHT_CHECKS, seed=0)
+    digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
+    assert digest == PINNED_Q[preset]

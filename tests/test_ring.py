@@ -34,7 +34,7 @@ def polys(ring=R3, max_terms=6, max_exp=4):
     def build(ps):
         acc = ring.zero()
         for m, c in ps:
-            acc = acc + ring.from_terms({m: ring.field.from_int(c) if isinstance(c, int) else ring.field.from_fraction(c)})
+            acc = acc + ring.from_terms({m: c})
         return acc
 
     return pairs.map(build)
@@ -89,7 +89,7 @@ def expressions(ring):
     F = ring.field
 
     def const(k, d=1):
-        return ring.const(F.from_fraction(Fraction(k, d)))
+        return ring.const(F.from_int(k) * F.inv(F.from_int(d)))
 
     atoms = st.one_of(
         st.sampled_from(ring.ambient.varnames).map(lambda n: (n, ring.var(n))),
