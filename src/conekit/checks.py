@@ -18,7 +18,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .cone import (
     ConeData,
@@ -97,14 +97,13 @@ def _point_delta_on_x(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
     return delta_point_on(X, ctx)
 
 
-def _point_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
+def _section_delta(cd: ConeData, ctx: EngineContext) -> Tuple[Optional[Ideal], str]:
+    """A cycle delta in the codim-h plane section and its kind: a line when
+    the section is a surface in P^3 of degree >= 3 (h = 1), else a point."""
     V = section_scheme(cd)
-    return delta_point_on(V, ctx)
-
-
-def _line_delta_in_section(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
-    V = section_scheme(cd)
-    return line_on_surface(V, ctx)
+    if cd.h == 1 and cd.nx - cd.h == 4 and cd.f_deg() >= 3:
+        return line_on_surface(V, ctx), "line"
+    return delta_point_on(V, ctx), "point"
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +251,7 @@ def check_split_components(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
 
 
 def check_operator_degree(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
-    if cd.h == 1 and cd.nx - cd.h == 4 and cd.f_deg() >= 3:
-        delta = _line_delta_in_section(cd, ctx)
-        kind = "line"
-    else:
-        delta = _point_delta_in_section(cd, ctx)
-        kind = "point"
+    delta, kind = _section_delta(cd, ctx)
     if delta is None:
         return CheckOutcome(
             INCONCLUSIVE,
@@ -310,12 +304,7 @@ def check_join_support(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         return CheckOutcome(
             NOT_APPLICABLE, notes=["join comparison needs a one-dimensional twist line"]
         )
-    if cd.nx - cd.h == 4 and cd.f_deg() >= 3:
-        delta = _line_delta_in_section(cd, ctx)
-        kind = "line"
-    else:
-        delta = _point_delta_in_section(cd, ctx)
-        kind = "point"
+    delta, kind = _section_delta(cd, ctx)
     if delta is None:
         return CheckOutcome(
             INCONCLUSIVE,
@@ -440,17 +429,7 @@ _register(
     needs_points=True,
 )
 
-CHECK_ORDER = [
-    "omega-consistency",
-    "prop-2-1",
-    "expansion-g",
-    "w-covering",
-    "prop-2-5",
-    "prop-2-6",
-    "digamma",
-    "example-3-2",
-    "formula-3-5",
-]
+CHECK_ORDER = list(CHECKS)
 # the E0 fiber certification is not a registered check, so no report runs
 # it; only tests do
 E0_FIBER_CHECK = CheckDef(

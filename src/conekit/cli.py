@@ -55,9 +55,27 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     )
 
 
+def _check_paths(cfg: ScenarioConfig) -> None:
+    """Raise ConfigError for a cache directory or report path that cannot be
+    used, so that no check runs before the run would crash on it."""
+    if cfg.cache_dir:
+        try:
+            BasisCache(cfg.cache_dir)  # creates the directory, as the run would
+        except OSError as exc:
+            raise ConfigError("cache-dir %r is not a usable directory: %s" % (cfg.cache_dir, exc))
+    if cfg.out_path:
+        parent = os.path.dirname(os.path.abspath(cfg.out_path))
+        if not os.path.isdir(parent):
+            raise ConfigError("out %r: directory %r does not exist" % (cfg.out_path, parent))
+        if os.path.isdir(cfg.out_path):
+            raise ConfigError("out %r is a directory" % cfg.out_path)
+
+
 def cmd_verify(args) -> int:
     try:
         configs = [_apply_overrides(load_scenario(s), args) for s in args.scenario]
+        for cfg in configs:
+            _check_paths(cfg)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

@@ -21,7 +21,6 @@ from .fields import Field, FieldConfig
 from .ideals import (
     EngineContext,
     Ideal,
-    contains,
     eliminate,
     hilbert_data,
     ideal_equal,
@@ -45,7 +44,7 @@ from .scheme import (
     point_forms,
     random_point,
     union_certify,
-    _univariate_roots,
+    _zero_dim_point,
 )
 
 
@@ -107,12 +106,6 @@ class ConeData:
     def f_deg(self) -> int:
         probe = self.ring(self.ambient_x())
         return self.f_in(probe).total_degree()
-
-    def f_on_block(self, ring: PolyRing, block: str) -> Poly:
-        """f with x_i renamed to the i-th variable of `block` (same size)."""
-        src = self.ring(self.ambient_x(), ring.field)
-        renames = {"x%d" % i: "%s%d" % (block, i) for i in range(self.nx)}
-        return self.f_in(src).map_vars(renames, ring)
 
     def section_form(self, ring: PolyRing, block: str, kept: Sequence[int]) -> Poly:
         """f restricted to the subspace where every x_i with i not in `kept`
@@ -277,7 +270,7 @@ def diagonal_component_ideal(cd: ConeData, ring: PolyRing) -> Ideal:
     for i in range(cd.nx):
         for j in range(i + 1, cd.nx):
             gens.append(x[i] * y[j] - x[j] * y[i])
-    gens.append(cd.f_on_block(ring, "x"))
+    gens.append(cd.section_form(ring, "x", range(cd.nx)))
     return Ideal(ring, gens)
 
 
@@ -307,7 +300,7 @@ def expansion_pencil(cd: ConeData) -> PencilReport:
     ring = cd.ring(cd.ambient_zx())
     z0, z1 = ring.block_vars("z")
     x = ring.block_vars("x")
-    f = cd.f_on_block(ring, "x")
+    f = cd.section_form(ring, "x", range(cd.nx))
     p = cd.pivot
     x0 = ring.ambient.var_index("x0")
     A = x[p] * _partial(ring, f, x0)
@@ -349,7 +342,7 @@ def expansion_pencil_taylor(cd: ConeData) -> Poly:
     sub = {"x0": x[0] - t * x[p], ("x%d" % p): t * w * x[p]}
     for i in range(p + 1, cd.nx):
         sub["x%d" % i] = t * x[i]
-    f = cd.f_on_block(ring, "x")
+    f = cd.section_form(ring, "x", range(cd.nx))
     moved = f.substitute(sub)
     return taylor_shift_coefficient(moved, "t0", 1)
 
@@ -452,8 +445,8 @@ class ConeSchemes:
     def sigma(self) -> Subscheme:
         def build():
             ring = self.omega.ring
-            fx = self.cd.f_on_block(ring, "x")
-            fy = self.cd.f_on_block(ring, "y")
+            fx = self.cd.section_form(ring, "x", range(self.cd.nx))
+            fy = self.cd.section_form(ring, "y", range(self.cd.nx))
             return Subscheme.saturated(self.omega.ideal.with_extra([fx, fy]), self.ctx)
 
         return self._get("sigma", build)
@@ -488,7 +481,7 @@ class ConeSchemes:
         def build():
             G = self.projection_graph
             ring = G.ring
-            fx = self.cd.f_on_block(ring, "x")
+            fx = self.cd.section_form(ring, "x", range(self.cd.nx))
             fy = self.cd.section_form(ring, "y", range(self.cd.pivot))
             return G.ideal.with_extra([fx, fy])
 
@@ -718,8 +711,8 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     dims_ok = d1 == want and d2 == want
     m1 = m2 = None
     try:
-        m1 = component_multiplicity(gamma, gamma1, [gamma2], ctx).multiplicity
-        m2 = component_multiplicity(gamma, gamma2, [gamma1], ctx).multiplicity
+        m1 = component_multiplicity(gamma, gamma1, [gamma2], ctx)
+        m2 = component_multiplicity(gamma, gamma2, [gamma1], ctx)
     except SchemeError:
         pass
     # dominance over the parameter line: gamma1 onto, gamma2 over z=0 only
@@ -751,6 +744,15 @@ class OperatorDegreeReport:
     witness: Optional[str] = None
 
 
+def _delta_in_x(cd: ConeData, delta_y: Ideal, ring: PolyRing) -> List[Poly]:
+    """delta, given in the plane section's coordinates y0..y_{n+1-h}, as
+    generators in the x block of `ring`: each y_i renamed x_i, and the
+    section's equations x_{n+2-h} = ... = x_{n+1} = 0 appended."""
+    renames = {"y%d" % i: "x%d" % i for i in range(cd.pivot)}
+    x = ring.block_vars("x")
+    return [g.map_vars(renames, ring) for g in delta_y.gens] + x[cd.pivot:]
+
+
 def verify_operator_degree_split(
     schemes: ConeSchemes, delta_y: Ideal
 ) -> OperatorDegreeReport:
@@ -773,12 +775,7 @@ def verify_operator_degree_split(
     p = cd.pivot
     cut = [x[i] for i in range(p, cd.nx)]
     S = Subscheme.saturated(img.ideal.with_extra(cut), ctx)
-    # delta moved to the x coordinates, inside the plane section
-    renames = {"y%d" % i: "x%d" % i for i in range(p)}
-    target = cd.ring(cd.ambient_x())
-    dgens = [g.map_vars(renames, target) for g in delta_y.gens]
-    dgens = [ring.convert(target.convert(g)) if g.ring != ring else g for g in dgens]
-    dgens += cut + [cd.f_on_block(ring, "x")]
+    dgens = _delta_in_x(cd, delta_y, ring) + [cd.section_form(ring, "x", range(cd.nx))]
     D = Subscheme.saturated(Ideal(ring, dgens), ctx)
     # (e): the generators of D are x-forms, so every combination lies in m_x
     res_scheme = Subscheme(saturate(S.ideal, D.ideal, ctx))
@@ -793,7 +790,7 @@ def verify_operator_degree_split(
     others = [res_scheme] if res_h.dimension >= 0 else []
     report.split_ok = union_certify(S, [D] + others, ctx)
     try:
-        report.delta_multiplicity = component_multiplicity(S, D, others, ctx).multiplicity
+        report.delta_multiplicity = component_multiplicity(S, D, others, ctx)
     except SchemeError as exc:
         report.witness = str(exc)
     if res_h.dimension >= 0:
@@ -829,11 +826,7 @@ def join_support_matches_operator(
     ring_x = cd.ring(cd.ambient_x())
     x = ring_x.gens()
     p = cd.pivot
-    # delta embedded in the big projective space
-    renames = {"y%d" % i: "x%d" % i for i in range(p)}
-    dgens = [g.map_vars(renames, ring_x) for g in delta_y.gens]
-    dgens += [x[i] for i in range(p, cd.nx)]
-    delta_big = Subscheme(Ideal(ring_x, dgens))  # (c)
+    delta_big = Subscheme(Ideal(ring_x, _delta_in_x(cd, delta_y, ring_x)))  # (c)
     # the twist line: closure of the span of e0 and the pivot directions
     line_gens = [x[i] for i in range(1, cd.nx) if i != p]
     if cd.h != 1:
@@ -863,81 +856,30 @@ def line_on_surface(S: Subscheme, ctx: EngineContext) -> Optional[Ideal]:
     """A line contained in a hypersurface S = V(g) in P^3, or None.
 
     Searches lines of the shape {v_i - a*v_j = v_k - b*v_l = 0} over all
-    coordinate pairings, solving for (a, b) by exact root enumeration over
-    the prime field.  Sufficient for the diagonal-type surfaces used in
-    the preset scenarios; returns None when no such line exists.
+    coordinate pairings.  Such a line lies on S iff every coefficient of
+    g(a*s, s, b*t, t), a form in (s, t), vanishes at (a, b); that system is
+    solved over the prime field with a lex basis, smallest a first, then
+    smallest b.  Sufficient for the diagonal-type surfaces used in the
+    preset scenarios; returns None when no such line exists.
     """
     ring = S.ring
     F = ring.field
     if ring.nvars != 4 or len(S.ideal.gens) != 1 or not F.p:
         return None
     g = S.ideal.gens[0]
-    amb = AmbientSpace.product(("a", 1), ("b", 1), ("s", 1), ("t", 1), affine=("a", "b", "s", "t"))
-    work = PolyRing(amb, F)
-    a, b, s, t = (work.var(n) for n in ("a0", "b0", "s0", "t0"))
-    names = ring.ambient.varnames
+    # a is the last variable, so the solver tries its values first
+    work = PolyRing(AmbientSpace.product(("b", 1), ("a", 1), affine=("b", "a")), F)
     pairings = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
-    ia, ib, is_, it = (amb.var_index(n) for n in ("a0", "b0", "s0", "t0"))
-
-    def coeff_polys(moved: Poly) -> Dict[Tuple[int, int], Poly]:
-        groups: Dict[Tuple[int, int], Dict] = {}
-        for m, c in moved.terms.items():
-            st = (m[is_], m[it])
-            nm = list(m)
-            nm[is_] = nm[it] = 0
-            groups.setdefault(st, {})[tuple(nm)] = c
-        return {k: Poly(work, v) for k, v in groups.items()}
-
-    def univariate(p: Poly, idx: int) -> Optional[List[int]]:
-        coeffs: Dict[int, int] = {}
-        for m, c in p.terms.items():
-            if any(e and i != idx for i, e in enumerate(m)):
-                return None
-            coeffs[m[idx]] = c
-        d = max(coeffs) if coeffs else 0
-        return [coeffs.get(i, 0) for i in range(d + 1)]
-
     for (i, j), (k, l) in pairings:
-        moved = g.map_vars(
-            {names[i]: "a0", names[j]: "s0", names[k]: "b0", names[l]: "t0"}, work
-        ).substitute({"a0": a * s, "b0": b * t})
-        coeffs = coeff_polys(moved)
-        a_cands: Optional[set] = None
-        for p in coeffs.values():
-            ua = univariate(p, ia)
-            if ua is not None and any(ua):
-                roots = set(_univariate_roots(F, ua))
-                a_cands = roots if a_cands is None else (a_cands & roots)
-        if a_cands is None or not a_cands:
-            continue
-        for a0 in sorted(a_cands):
-            b_cands: Optional[set] = None
-            ok = True
-            for p in coeffs.values():
-                q = p.substitute({"a0": work.const(F.from_int(a0))})
-                if q.is_zero():
-                    continue
-                ub = univariate(q, ib)
-                if ub is None:
-                    ok = False
-                    break
-                if not any(ub):
-                    continue
-                if len(ub) == 1:
-                    ok = False  # nonzero constant: no b works
-                    break
-                roots = set(_univariate_roots(F, ub))
-                b_cands = roots if b_cands is None else (b_cands & roots)
-            if not ok or b_cands is None or not b_cands:
-                continue
-            b0 = sorted(b_cands)[0]
+        # the term c*v^m of g contributes c * b^m_k * a^m_i to the
+        # coefficient of s^(m_i + m_j) * t^(m_k + m_l)
+        coeffs: Dict[Tuple[int, int], Dict] = {}
+        for m, c in g.terms.items():
+            coeffs.setdefault((m[i] + m[j], m[k] + m[l]), {})[(m[k], m[i])] = c
+        sol = _zero_dim_point(Ideal(work, [work.from_terms(t) for t in coeffs.values()]), ctx)
+        if sol is not None:
             v = ring.gens()
-            cand = Ideal(
-                ring,
-                [v[i] - v[j].scale(F.from_int(a0)), v[k] - v[l].scale(F.from_int(b0))],
-            )
-            if all(contains(cand, h, ctx) for h in S.ideal.gens):
-                return cand
+            return Ideal(ring, [v[i] - v[j].scale(sol[1]), v[k] - v[l].scale(sol[0])])
     return None
 
 

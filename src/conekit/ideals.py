@@ -158,28 +158,25 @@ class EngineContext:
         return normal_form(p, basis, order, self.caps, packed)
 
 
-DEFAULT_CONTEXT = EngineContext()
-
-
 # ---------------------------------------------------------------------------
 # membership / equality
 
 
-def contains(ideal: Ideal, p: Poly, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def contains(ideal: Ideal, p: Poly, ctx: EngineContext) -> bool:
     if p.is_zero():
         return True
     return ctx.nf(p, ideal).is_zero()
 
 
-def contains_ideal(big: Ideal, small: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def contains_ideal(big: Ideal, small: Ideal, ctx: EngineContext) -> bool:
     return all(contains(big, g, ctx) for g in small.gens)
 
 
-def ideal_equal(a: Ideal, b: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def ideal_equal(a: Ideal, b: Ideal, ctx: EngineContext) -> bool:
     return contains_ideal(a, b, ctx) and contains_ideal(b, a, ctx)
 
 
-def is_unit_ideal(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def is_unit_ideal(ideal: Ideal, ctx: EngineContext) -> bool:
     basis = ctx.groebner(ideal)
     return any(b.is_constant() and not b.is_zero() for b in basis)
 
@@ -213,7 +210,7 @@ def move_ideal(ideal: Ideal, target: PolyRing) -> Ideal:
 
 
 def eliminate(
-    ideal: Ideal, drop_blocks: Sequence[str], ctx: EngineContext = DEFAULT_CONTEXT
+    ideal: Ideal, drop_blocks: Sequence[str], ctx: EngineContext
 ) -> Ideal:
     """Intersect with the subring omitting the named blocks."""
     ring = ideal.ring
@@ -235,7 +232,7 @@ def eliminate(
 # intersection and quotients
 
 
-def intersect(a: Ideal, b: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
+def intersect(a: Ideal, b: Ideal, ctx: EngineContext) -> Ideal:
     """a ∩ b via the one-variable trick: eliminate u from u*a + (1-u)*b."""
     if a.ring != b.ring:
         raise IdealError("intersection across different rings")
@@ -269,7 +266,7 @@ def exact_div(p: Poly, g: Poly) -> Poly:
     return q
 
 
-def quotient_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
+def quotient_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
     """Colon ideal (I : g) = (I ∩ (g)) / g.
 
     No library code calls it: the tests' iterated-colon oracle does, and
@@ -281,7 +278,7 @@ def quotient_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT
     return Ideal(ideal.ring, [exact_div(h, g) for h in meet.gens])
 
 
-def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
+def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
     """(I : g^∞) in one elimination: drop u from I + (1 - u*g)."""
     if g.is_zero():
         raise IdealError("saturation by zero")
@@ -291,38 +288,6 @@ def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext = DEFAULT_CONTEXT
     gens.append(ring2.one() - u * ring2.convert(g))
     elim = eliminate(Ideal(ring2, gens), [block], ctx)
     return move_ideal(elim, ring)
-
-
-def _var_power_content(p: Poly, idx: int) -> int:
-    return min(m[idx] for m in p.terms)
-
-
-def _divide_out_var(p: Poly, idx: int, power: int) -> Poly:
-    if power == 0:
-        return p
-    out = {}
-    for m, c in p.terms.items():
-        nm = list(m)
-        nm[idx] -= power
-        out[tuple(nm)] = c
-    return Poly(p.ring, out)
-
-
-def saturate_by_var(ideal: Ideal, varname: str, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
-    """(I : v^∞) for a variable v.
-
-    For ideals homogeneous in the total grading this uses the one-pass
-    divide-out trick: compute a basis under grevlex with v globally
-    smallest, then strip the v-power content of each element.
-    """
-    ring = ideal.ring
-    idx = ring.ambient.var_index(varname)
-    if not ideal.is_homogeneous():
-        return saturate_by_poly(ideal, ring.var(varname), ctx)
-    order = PermutedGrevlexOrder.with_last(ring.nvars, idx)
-    basis = ctx.groebner(ideal, order)
-    stripped = [_divide_out_var(b, idx, _var_power_content(b, idx)) for b in basis]
-    return Ideal(ring, stripped)
 
 
 def _random_block_linear(ring: PolyRing, block: str, rng: random.Random) -> Poly:
@@ -360,46 +325,50 @@ def _linear_change(form: Poly) -> Tuple[str, Poly, Poly]:
     return pname, fwd, back
 
 
-def saturate_by_linear_form(
-    ideal: Ideal, form: Poly, ctx: EngineContext = DEFAULT_CONTEXT
-) -> Ideal:
-    """(I : ℓ^∞) for a linear form supported on one block.
-
-    Change coordinates inside the block so ℓ becomes a variable, apply
-    the divide-out trick, change back.
-    """
-    ring = ideal.ring
-    support = sorted(form.variables())
-    if form.total_degree() != 1 or len({ring.ambient.block_of_index(i).name for i in support}) != 1:
-        raise IdealError("need a linear form supported on a single block")
-    if len(support) == 1:
-        return saturate_by_var(ideal, ring.ambient.varnames[support[0]], ctx)
-    pname, fwd, back = _linear_change(form)
-    moved = Ideal(ring, substitute_all(ideal.gens, {pname: fwd}))
-    sat = saturate_by_var(moved, pname, ctx)
-    return Ideal(ring, substitute_all(sat.gens, {pname: back}))
-
-
-def saturate_block(ideal: Ideal, block: str, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
+def saturate_block(ideal: Ideal, block: str, ctx: EngineContext) -> Ideal:
     """Saturation by the irrelevant ideal of one block, (I : (v_0..v_k)^∞).
 
-    One divide-out pass against a seeded random linear form of the block:
-    equal to the true block saturation with high probability (the form
-    must avoid every associated prime that does not contain the whole
-    block).
+    Computed as I : ℓ^∞ for a seeded random linear form ℓ of the block:
+    equal to the true block saturation with high probability (ℓ must avoid
+    every associated prime that does not contain the whole block).  A
+    change of coordinates inside the block makes ℓ a variable v (a block
+    of one variable is v itself).  For an ideal homogeneous in the total
+    grading, I : v^∞ is the divide-out of Bayer & Stillman: a basis under
+    grevlex with v globally smallest, each element stripped of its
+    v-power content.  Any other ideal falls back to saturate_by_poly.
     """
     ring = ideal.ring
-    names = [ring.ambient.varnames[i] for i in ring.ambient.block_range(block)]
-    if len(names) == 1:
-        return saturate_by_var(ideal, names[0], ctx)
-    rng = ctx.rng("saturate-block", block, ideal.key())
-    form = _random_block_linear(ring, block, rng)
-    return saturate_by_linear_form(ideal, form, ctx)
+    block_idx = ring.ambient.block_range(block)
+    back = None
+    moved = ideal
+    if len(block_idx) == 1:
+        idx = block_idx[0]
+    else:
+        form = _random_block_linear(ring, block, ctx.rng("saturate-block", block, ideal.key()))
+        support = sorted(form.variables())
+        idx = support[-1]
+        if len(support) > 1:
+            name, fwd, back = _linear_change(form)
+            moved = Ideal(ring, substitute_all(ideal.gens, {name: fwd}))
+    if moved.is_homogeneous():
+        order = PermutedGrevlexOrder.with_last(ring.nvars, idx)
+        sat = []
+        for b in ctx.groebner(moved, order):
+            power = min(m[idx] for m in b.terms)
+            if power:
+                b = Poly(ring, {m[:idx] + (m[idx] - power,) + m[idx + 1:]: c
+                                for m, c in b.terms.items()})
+            sat.append(b)
+    else:
+        sat = saturate_by_poly(moved, ring.var_by_index(idx), ctx).gens
+    if back is not None:
+        sat = substitute_all(sat, {name: back})
+    return Ideal(ring, sat)
 
 
 def multisaturate(
     ideal: Ideal,
-    ctx: EngineContext = DEFAULT_CONTEXT,
+    ctx: EngineContext,
     blocks: Optional[Sequence[str]] = None,
 ) -> Ideal:
     """Saturate by the irrelevant ideal of every (listed) projective block."""
@@ -435,7 +404,7 @@ def _equalize_multidegree(
     return out
 
 
-def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> Ideal:
+def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext) -> Ideal:
     """(I : J^∞) for an arbitrary finitely generated J.
 
     cur = I : c0^∞ for a random J-combination c0 of common multidegree,
@@ -479,7 +448,7 @@ def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) 
 # radical membership
 
 
-def radical_member(p: Poly, ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def radical_member(p: Poly, ideal: Ideal, ctx: EngineContext) -> bool:
     """p ∈ √I, tested by forcing 1 - u*p to be a unit modulo I."""
     if p.is_zero():
         return True
@@ -491,13 +460,13 @@ def radical_member(p: Poly, ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) 
 
 
 def radical_contains_ideal(
-    big: Ideal, small: Ideal, ctx: EngineContext = DEFAULT_CONTEXT
+    big: Ideal, small: Ideal, ctx: EngineContext
 ) -> bool:
     """small ⊆ √big, generator by generator."""
     return all(radical_member(g, big, ctx) for g in small.gens)
 
 
-def radical_equal(a: Ideal, b: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> bool:
+def radical_equal(a: Ideal, b: Ideal, ctx: EngineContext) -> bool:
     """√a = √b via mutual radical membership of generators."""
     return radical_contains_ideal(a, b, ctx) and radical_contains_ideal(b, a, ctx)
 
@@ -619,7 +588,7 @@ def _dec_at(m: Tuple[int, ...], i: int) -> Tuple[int, ...]:
     return tuple(lm)
 
 
-def hilbert_data(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> HilbertData:
+def hilbert_data(ideal: Ideal, ctx: EngineContext) -> HilbertData:
     """Dimension and total-grading degree of R/I from the lead-term ideal.
 
     Requires I homogeneous in the total grading (so the series is the
@@ -663,7 +632,7 @@ def hilbert_data(ideal: Ideal, ctx: EngineContext = DEFAULT_CONTEXT) -> HilbertD
 
 
 def linear_forms_in(
-    ideal: Ideal, block: str, ctx: EngineContext = DEFAULT_CONTEXT
+    ideal: Ideal, block: str, ctx: EngineContext
 ) -> List[Poly]:
     """Basis of the space of block-linear forms contained in the ideal."""
     ring = ideal.ring

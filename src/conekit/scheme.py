@@ -24,7 +24,7 @@ from .ideals import (
     radical_member,
     saturate,
 )
-from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing
+from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, substitute_all
 
 
 class SchemeError(Exception):
@@ -114,20 +114,6 @@ class RationalMapSpec:
         degs = [f.multidegree() for f in self.forms if not f.is_zero()]
         if any(d is None for d in degs) or any(d != degs[0] for d in degs):
             raise SchemeError("map forms must share one multidegree")
-
-
-@dataclass
-class MultiplicityReport:
-    """How many times one component appears inside a scheme's top cycle."""
-
-    component: Subscheme
-    multiplicity: Fraction
-    total_degree: int
-    residual_degree: int
-
-    @property
-    def integral(self) -> bool:
-        return self.multiplicity.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +242,11 @@ def component_multiplicity(
     C: Subscheme,
     others: Sequence[Subscheme],
     ctx: EngineContext,
-) -> MultiplicityReport:
+) -> Fraction:
     """Multiplicity of C in S: degree of S minus all other parts, over deg C.
 
     The division is exact for generically reduced components; a
-    non-integral value is reported as-is so callers can flag it.
+    non-integral value is returned as-is so callers can flag it.
     """
     if others:
         rest = others[0].ideal
@@ -278,15 +264,7 @@ def component_multiplicity(
             "isolated part has dimension %d, component has %d"
             % (part_h.dimension, c_h.dimension)
         )
-    residual = saturate(S.ideal, C.ideal, ctx)
-    res_h = hilbert_data(residual, ctx) if residual.gens else None
-    res_deg = res_h.degree if res_h is not None and res_h.dimension >= 0 else 0
-    return MultiplicityReport(
-        component=C,
-        multiplicity=Fraction(part_h.degree, c_h.degree),
-        total_degree=hilbert_data(S.ideal, ctx).degree,
-        residual_degree=res_deg,
-    )
+    return Fraction(part_h.degree, c_h.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +475,18 @@ def _points(basis: Sequence[Poly], var: int, known: Dict[int, int]):
         yield dict(known)
         return
     ring = basis[0].ring
-    p = ring.field.p
+    names = ring.ambient.varnames
     candidates: Optional[set] = None
-    for b in basis:
-        # b with the known coordinates substituted
-        out: Dict[Tuple[int, ...], int] = {}
-        for m, c in b.terms.items():
-            nm = list(m)
-            for i, v in known.items():
-                if nm[i]:
-                    c = c * pow(v, nm[i], p)
-                    nm[i] = 0
-            key = tuple(nm)
-            out[key] = out.get(key, 0) + c
-        reduced = ring.from_terms(out).terms
-        if not reduced:
+    # the basis with the known coordinates substituted
+    for b in substitute_all(basis, {names[i]: v for i, v in known.items()}):
+        if b.is_zero():
             continue
-        support = {i for m in reduced for i, e in enumerate(m) if e}
+        support = b.variables()
         if not support:
             return  # nonzero constant: dead branch
         if support == {var}:
-            coeffs = [0] * (max(m[var] for m in reduced) + 1)
-            for m, c in reduced.items():
+            coeffs = [0] * (max(m[var] for m in b.terms) + 1)
+            for m, c in b.terms.items():
                 coeffs[m[var]] = c
             roots = set(_univariate_roots(ring.field, coeffs))
             candidates = roots if candidates is None else candidates & roots

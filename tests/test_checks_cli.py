@@ -381,6 +381,36 @@ def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message)
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("where", ["scenario", "flag"])
+@pytest.mark.parametrize("key,target,message", [
+    ("cache-dir", "a-file", "cache-dir '{}' is not a usable directory"),
+    ("out", "missing/r.json", "out '{}': directory '{}' does not exist"),
+    ("out", ".", "out '{}' is a directory"),
+])
+def test_cli_verify_unusable_path_exit_2(tmp_path, monkeypatch, capsys, where, key, target, message):
+    # a cache-dir naming a file and an out path in a missing directory ended
+    # in a traceback and exit 1, the code that means FAIL, after the checks ran
+    (tmp_path / "a-file").write_text("")
+    path = str(tmp_path / target)
+    scenario = {"preset": "quadric-s2-h1", "checks": ["expansion-g"]}
+    argv = ["verify", "--scenario"]
+    if where == "scenario":
+        scenario[key] = path
+    else:
+        argv = ["verify", {"cache-dir": "--cache", "out": "--out"}[key], path, "--scenario"]
+    spath = tmp_path / "s.json"
+    spath.write_text(json.dumps(scenario))
+
+    def no_run(cfg):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("conekit.cli.run_scenario", no_run)
+    assert main(argv + [str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.format(path, os.path.dirname(path)))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("spec", ["Fp:4", "Fp:x", "Z"])
 def test_cli_verify_bad_field_exit_2(spec, capsys):
     rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g", "--field", spec])

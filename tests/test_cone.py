@@ -1,6 +1,8 @@
 """Cone construction layer: twists, graph schemes, pencils, splits."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit import checks, cone
 from conekit.checks import FAIL
@@ -204,6 +206,52 @@ def test_line_on_surface_fermat_cubic():
         assert contains(L, g, CTX)
 
 
+F7 = PrimeField(7)
+P3_F7 = PolyRing(AmbientSpace.product(("y", 4)), F7)
+
+
+@st.composite
+def surfaces_f7(draw):
+    """A form in P^3 over F_7; often (y_i - a*y_j)*q1 + (y_k - b*y_l)*q2,
+    which contains a line of the searched shape."""
+    deg = draw(st.integers(1, 3))
+    y = P3_F7.gens()
+
+    def form(d):
+        monos = list(_monomials(4, d))
+        coeffs = draw(st.lists(st.integers(0, 6), min_size=len(monos), max_size=len(monos)))
+        return P3_F7.from_terms(dict(zip(monos, coeffs)))
+
+    if draw(st.booleans()):
+        i, j, k, l = draw(st.permutations(range(4)))
+        a, b = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        g = (y[i] - y[j].scale(a)) * form(deg - 1) + (y[k] - y[l].scale(b)) * form(deg - 1)
+    else:
+        g = form(deg)
+    return g
+
+
+def _monomials(n, d):
+    if n == 1:
+        yield (d,)
+        return
+    for e in range(d + 1):
+        for rest in _monomials(n - 1, d - e):
+            yield (e,) + rest
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=surfaces_f7())
+def test_line_on_surface_lines_lie_on_the_surface(g):
+    if g.is_zero():
+        return
+    S = Subscheme(Ideal(P3_F7, [g]))
+    L = cone.line_on_surface(S, CTX)
+    if L is not None:
+        assert len(L.gens) == 2 and all(h.total_degree() == 1 for h in L.gens)
+        assert contains(L, g, CTX)
+
+
 def test_line_on_surface_none_when_absent():
     # a smooth quadric in P3 has lines, but none of the searched coordinate
     # pairing shape for this diagonal form with -2 a nonsquare companion;
@@ -291,7 +339,7 @@ def test_diagonal_component_ideal_is_not_saturated():
     cd = cone.preset("quadric-s2-h1", CFG)
     ring = cd.ring(cd.ambient_master())
     diag = cone.diagonal_component_ideal(cd, ring)
-    fy = cd.f_on_block(ring, "y")
+    fy = cd.section_form(ring, "y", range(cd.nx))
     assert not contains(diag, fy, CTX)
     x = ring.block_vars("x")
     assert all(contains(diag, fy * a * b, CTX) for a in x for b in x)

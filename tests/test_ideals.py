@@ -24,9 +24,7 @@ from conekit.ideals import (
     radical_equal,
     radical_member,
     saturate,
-    saturate_by_linear_form,
     saturate_by_poly,
-    saturate_by_var,
     saturate_block,
 )
 from conekit.ring import AmbientSpace, GrevlexOrder, LexOrder, PolyRing, substitute_all
@@ -48,10 +46,10 @@ def exact_saturate(I, J, ctx):
 
 def exact_saturate_block(I, block, ctx):
     """(I : (v_0..v_k)^∞) = ∩_i (I : v_i^∞) over the variables of the block."""
-    names = [I.ring.ambient.varnames[i] for i in I.ring.ambient.block_range(block)]
-    out = saturate_by_var(I, names[0], ctx)
-    for n in names[1:]:
-        out = intersect(out, saturate_by_var(I, n, ctx), ctx)
+    vs = I.ring.block_vars(block)
+    out = saturate_by_poly(I, vs[0], ctx)
+    for v in vs[1:]:
+        out = intersect(out, saturate_by_poly(I, v, ctx), ctx)
     return out
 
 
@@ -80,14 +78,30 @@ def test_membership_and_equality():
 
 
 def test_saturation_bayer_matches_iterated_colon():
-    R = ring_p3()
+    # the divide-out route, through a block of one variable
+    R = PolyRing(AmbientSpace.product(("x", 2), ("v", 1), ("w", 1)), FP)
     x0, x1, x2, x3 = R.gens()
     I = Ideal(R, [x0 * x2, x1 * x2])
     expect = Ideal(R, [x0, x1])
-    assert ideal_equal(saturate_by_var(I, "x2", CTX), expect, CTX)
+    assert ideal_equal(saturate_block(I, "v", CTX), expect, CTX)
     assert ideal_equal(saturate_by_poly(I, x2, CTX), expect, CTX)
     assert ideal_equal(saturate_by_poly_iterated(I, x2, CTX), expect, CTX)
-    assert ideal_equal(saturate_by_linear_form(I, x2, CTX), expect, CTX)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("var", [0, 1, 2])
+def test_block_saturation_by_a_one_variable_form(monkeypatch, homogeneous, var):
+    # a random form c*v takes the divide-out route without a coordinate
+    # change (or saturate_by_poly, for an ideal that is not homogeneous)
+    R = PolyRing(AmbientSpace.product(("x", 3), ("y", 2)), FP)
+    x0, x1, x2, y0, y1 = R.gens()
+    extra = x1 * x1 * y0 if homogeneous else x1 * y0
+    I = Ideal(R, [x0 * x1 * x2 * y1, x2 * x2 * x0 * y0 - extra * x1, x1 * x0 * x0 * y1])
+    v = R.var_by_index(var)
+    monkeypatch.setattr(ideals, "_random_block_linear",
+                        lambda ring, block, rng: v.scale(FP.from_int(7)))
+    assert I.is_homogeneous() == homogeneous
+    assert ideal_equal(saturate_block(I, "x", CTX), saturate_by_poly(I, v, CTX), CTX)
 
 
 @settings(max_examples=10, deadline=None)
@@ -151,7 +165,7 @@ def form_and_gens(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=form_and_gens())
 def test_linear_change_round_trip(case):
-    """saturate_by_linear_form's change of coordinates sends the form to its
+    """saturate_block's change of coordinates sends the form to its
     last variable, and its forward then back substitution is the identity."""
     form, gens = case
     v, fwd, back = ideals._linear_change(form)

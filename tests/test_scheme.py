@@ -109,18 +109,13 @@ def test_component_multiplicity_double_line():
     S = Subscheme(Ideal(R, [R.parse("x0^2*x1")]))
     line = scheme(R, "x0")
     other = scheme(R, "x1")
-    rep = component_multiplicity(S, line, [other], CTX)
-    assert rep.multiplicity == Fraction(2)
-    assert rep.integral
-    assert rep.total_degree == 3
-    assert rep.residual_degree == 1
+    assert component_multiplicity(S, line, [other], CTX) == Fraction(2)
 
 
 def test_component_multiplicity_reduced():
     R = PolyRing(AmbientSpace.product(("x", 3)), FP)
     S = scheme(R, "x0*x1")
-    rep = component_multiplicity(S, scheme(R, "x0"), [scheme(R, "x1")], CTX)
-    assert rep.multiplicity == Fraction(1)
+    assert component_multiplicity(S, scheme(R, "x0"), [scheme(R, "x1")], CTX) == Fraction(1)
 
 
 def test_join_two_points_is_their_line():
