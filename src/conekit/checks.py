@@ -518,24 +518,55 @@ def run_check(
     return outcome
 
 
-def run_check_two_prime(
-    name: str, cd: ConeData, ctx: EngineContext, genericity: Optional[GenericityReport] = None
-) -> CheckOutcome:
-    """Randomized checks re-run at a second prime; verdicts must agree."""
-    cdef = CHECKS[name]
-    first = run_check(name, cd, ctx, genericity)
-    if not cdef.randomized or cd.field_cfg.kind != "prime-field" or INTERNAL_ERROR in first.witnesses:
-        return first
-    alt_p = SECOND_PRIME if cd.field_cfg.p != SECOND_PRIME else DEFAULT_PRIME
+def needs_second_prime(name: str, cd: ConeData) -> bool:
+    """Whether the check is re-run at a second prime: it is randomized and
+    the field is prime."""
+    return CHECKS[name].randomized and cd.field_cfg.kind == "prime-field"
+
+
+def _alt_prime(p: int) -> int:
+    return SECOND_PRIME if p != SECOND_PRIME else DEFAULT_PRIME
+
+
+def second_prime_data(cd: ConeData, ctx: EngineContext) -> Tuple[ConeData, EngineContext]:
+    """The instance over the second prime (SECOND_PRIME, or DEFAULT_PRIME
+    when cd is already over SECOND_PRIME), and a fresh context with ctx's
+    caps, cache and seed."""
     cd2 = ConeData(
         n=cd.n,
         h=cd.h,
         f_text=cd.f_text,
-        field_cfg=FieldConfig(kind="prime-field", p=alt_p, seed=cd.field_cfg.seed),
+        field_cfg=FieldConfig(kind="prime-field", p=_alt_prime(cd.field_cfg.p),
+                              seed=cd.field_cfg.seed),
         label=cd.label,
     )
-    ctx2 = EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed)
-    second = run_check(name, cd2, ctx2)
+    return cd2, EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed)
+
+
+def run_second_prime(
+    names: List[str], cd2: ConeData, ctx2: EngineContext
+) -> Dict[str, CheckOutcome]:
+    """The outcome of each named check over cd2 (see second_prime_data),
+    behind one genericity gate and through one context."""
+    gate = certify_gate(cd2, ctx2)
+    if isinstance(gate, CheckOutcome):
+        return {name: gate for name in names}
+    return {name: run_check(name, cd2, ctx2, gate) for name in names}
+
+
+def merge_two_prime(
+    name: str, cd: ConeData, first: CheckOutcome, second: Optional[CheckOutcome]
+) -> CheckOutcome:
+    """The reported outcome of a check from its outcomes at the two primes.
+
+    A check that needs no second prime, or that has no second outcome (the
+    first prime's gate decided it), reports its first outcome; so does a
+    fault at the first prime.  A fault at the second prime is reported as
+    that fault, and verdicts that differ as a two-prime disagreement.
+    """
+    if second is None or not needs_second_prime(name, cd) or INTERNAL_ERROR in first.witnesses:
+        return first
+    alt_p = _alt_prime(cd.field_cfg.p)
     if INTERNAL_ERROR in second.witnesses:
         # a fault at the second prime is reported as one, not as a disagreement
         return CheckOutcome(INCONCLUSIVE, witnesses=dict(second.witnesses, **{"second-prime": alt_p}),
@@ -557,3 +588,14 @@ def run_check_two_prime(
     merged["second-prime"] = alt_p
     merged["second-prime-status"] = second.status
     return CheckOutcome(first.status, witnesses=merged, notes=first.notes)
+
+
+def run_check_two_prime(
+    name: str, cd: ConeData, ctx: EngineContext, genericity: Optional[GenericityReport] = None
+) -> CheckOutcome:
+    """Randomized checks re-run at a second prime; verdicts must agree."""
+    first = run_check(name, cd, ctx, genericity)
+    second = None
+    if needs_second_prime(name, cd) and INTERNAL_ERROR not in first.witnesses:
+        second = run_second_prime([name], *second_prime_data(cd, ctx))[name]
+    return merge_two_prime(name, cd, first, second)

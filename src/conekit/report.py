@@ -8,9 +8,13 @@ therefore opt-in and excluded by default.
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 import time
+import traceback
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .cache import BasisCache
@@ -18,10 +22,15 @@ from .checks import (
     CHECK_ORDER,
     CHECKS,
     FAIL,
+    INCONCLUSIVE,
     INTERNAL_ERROR,
     CheckOutcome,
     certify_gate,
-    run_check_two_prime,
+    merge_two_prime,
+    needs_second_prime,
+    run_check,
+    run_second_prime,
+    second_prime_data,
 )
 from .cone import ConeData, ConeDataError, PRESETS, preset
 from .fields import FieldConfig, FieldError
@@ -104,6 +113,7 @@ class ScenarioConfig:
                 raise ConfigError("cone-data needs integer n, h and text f, not %r" % (cdd,))
             lit = (cdd["n"], cdd["h"], cdd["f"])
         for key, ok, what in (
+            ("preset", lambda v: v is None or isinstance(v, str), "a preset name"),
             ("seed", lambda v: type(v) is int, "an integer"),
             ("field", lambda v: isinstance(v, str), "a string"),
             ("checks", lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
@@ -155,27 +165,121 @@ def load_scenario(path_or_preset: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
+class _SecondPrimeRun:
+    """The second-prime re-runs of a scenario's randomized checks.
+
+    They run in a forked child, concurrently with the parent's first-prime
+    checks, and come back pickled through a pipe.  Where os.fork is
+    missing or fails, or the process has more than one thread, they run
+    in-process when `outcomes` is called.  A child that raises, exits
+    without a result or dies by a signal gives every check an INCONCLUSIVE
+    outcome with an `internal-error` witness.  `close` kills and reaps a
+    child whose outcomes were not read.
+    """
+
+    def __init__(self, names: List[str], cd: ConeData, ctx: EngineContext):
+        self.args = (names, *second_prime_data(cd, ctx))
+        self.pid = self.fd = None
+        # the child would hold only the forking thread, and any lock that
+        # another thread held at the fork would stay held there
+        if hasattr(os, "fork") and threading.active_count() == 1:
+            # else text buffered before the fork would be written twice
+            sys.stdout.flush()
+            sys.stderr.flush()
+            self.fd, w = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:  # no process to be had: run in-process
+                os.close(self.fd)
+                self.fd = None
+            if self.pid == 0:
+                os.close(self.fd)
+                self._child(w)
+            os.close(w)
+
+    def _child(self, w: int) -> None:
+        code = 1
+        try:
+            import pickle
+            import signal
+
+            # Ctrl-C reaches the whole process group; the parent handles it
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            data = pickle.dumps(run_second_prime(*self.args))
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        except BaseException:  # the child exits here, never into the parent's frames
+            print("internal error in the second-prime process:", file=sys.stderr)
+            traceback.print_exc()
+        finally:
+            sys.stderr.flush()
+            os._exit(code)
+
+    def outcomes(self) -> Dict[str, CheckOutcome]:
+        if self.pid is None:
+            return run_second_prime(*self.args)
+        # read to the end before waiting, so a large result cannot block the child
+        with os.fdopen(self.fd, "rb") as fh:
+            self.fd = None
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code == 0 and data:
+            import pickle
+
+            return pickle.loads(data)
+        if code < 0:
+            fault = "second-prime process killed by signal %d" % -code
+        elif code > 0:
+            fault = "second-prime process exited with status %d" % code
+        else:
+            fault = "second-prime process exited with status 0 and no result"
+        return {name: CheckOutcome(INCONCLUSIVE, witnesses={INTERNAL_ERROR: fault})
+                for name in self.args[0]}
+
+    def close(self) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)  # a child that has exited can still be signalled
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Execute the gated check pipeline and assemble the report dict."""
+    """Execute the gated check pipeline and assemble the report dict.
+
+    The randomized checks' second-prime re-runs go to a _SecondPrimeRun,
+    started before the first prime's genericity gate."""
     cd = cfg.cone_data()
     cache = BasisCache(cfg.cache_dir) if cfg.cache_dir else None
     ctx = EngineContext(caps=cfg.caps, cache=cache, seed=cfg.seed)
-    genericity = certify_gate(cd, ctx)
-    gate_failed = isinstance(genericity, CheckOutcome)
-    records: List[dict] = []
-    for name in cfg.checks:
-        start = time.monotonic()
-        outcome = genericity if gate_failed else run_check_two_prime(name, cd, ctx, genericity)
-        rec = {
-            "name": name,
-            "paper-anchor": CHECKS[name].anchor,
-            "status": outcome.status,
-            "witnesses": outcome.witnesses,
-            "notes": list(outcome.notes),
-        }
-        if cfg.timings:
-            rec["wall-time"] = round(time.monotonic() - start, 3)
-        records.append(rec)
+    names = [n for n in dict.fromkeys(cfg.checks) if needs_second_prime(n, cd)]
+    second_run = _SecondPrimeRun(names, cd, ctx) if names else None
+    try:
+        genericity = certify_gate(cd, ctx)
+        gate_failed = isinstance(genericity, CheckOutcome)
+        firsts: List[CheckOutcome] = []
+        records: List[dict] = []
+        for name in cfg.checks:
+            start = time.monotonic()
+            firsts.append(genericity if gate_failed else run_check(name, cd, ctx, genericity))
+            rec = {"name": name, "paper-anchor": CHECKS[name].anchor}
+            if cfg.timings:
+                rec["wall-time"] = round(time.monotonic() - start, 3)
+            records.append(rec)
+        seconds = second_run.outcomes() if second_run and not gate_failed else {}
+    finally:
+        if second_run:
+            second_run.close()
+    for rec, first in zip(records, firsts):
+        outcome = merge_two_prime(rec["name"], cd, first, seconds.get(rec["name"]))
+        rec.update(status=outcome.status, witnesses=outcome.witnesses, notes=list(outcome.notes))
     statuses = [r["status"] for r in records]
     report = {
         "artifact": {"name": "conekit", "version": __version__},

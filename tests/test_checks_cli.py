@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import os
+import signal
+import threading
+import time
 
 import pytest
 
-from conekit import checks, cone
+from conekit import checks, cone, report
 from conekit.checks import (
     CHECK_ORDER,
     CHECKS,
@@ -18,8 +21,11 @@ from conekit.checks import (
     PASS,
     REJECTED_GENERICITY,
     CheckOutcome,
+    merge_two_prime,
     run_check,
     run_check_two_prime,
+    run_second_prime,
+    second_prime_data,
 )
 from conekit.cache import BasisCache, basis_request_key
 from conekit.cli import main
@@ -295,6 +301,199 @@ def test_check_that_raises_at_the_second_prime_names_the_fault(monkeypatch, caps
     assert out.witnesses["second-prime"] == SECOND_PRIME
 
 
+AGREE = CheckOutcome(PASS, {"w": 1}, ["n"])
+DISAGREE = CheckOutcome(FAIL, {"w": 2})
+FAULT = CheckOutcome(INCONCLUSIVE, {INTERNAL_ERROR: "RuntimeError: x", "at": "f.py:1 in g"})
+
+
+@pytest.mark.parametrize("name,field,first,second,expected", [
+    # agreement: the first outcome, with the second prime and its status
+    ("prop-2-5", DEFAULT_PRIME, AGREE, CheckOutcome(PASS, {"w": 3}),
+     CheckOutcome(PASS, {"w": 1, "second-prime": SECOND_PRIME, "second-prime-status": PASS}, ["n"])),
+    # the second prime is the default one when the first is SECOND_PRIME
+    ("prop-2-5", SECOND_PRIME, AGREE, CheckOutcome(PASS),
+     CheckOutcome(PASS, {"w": 1, "second-prime": DEFAULT_PRIME, "second-prime-status": PASS}, ["n"])),
+    ("prop-2-5", DEFAULT_PRIME, AGREE, DISAGREE, CheckOutcome(INCONCLUSIVE, {
+        "two-prime-disagreement": {"p%d" % DEFAULT_PRIME: PASS, "p%d" % SECOND_PRIME: FAIL},
+        "first-witnesses": {"w": 1},
+        "second-witnesses": {"w": 2},
+    }, ["n"])),
+    # a fault at the second prime is that fault, not a disagreement
+    ("prop-2-5", DEFAULT_PRIME, AGREE, FAULT,
+     CheckOutcome(INCONCLUSIVE, dict(FAULT.witnesses, **{"second-prime": SECOND_PRIME}), ["n"])),
+    # a fault at the first prime stands; the second outcome is discarded
+    ("prop-2-5", DEFAULT_PRIME, FAULT, AGREE, FAULT),
+    # a check decided by the first prime's gate has no second outcome
+    ("prop-2-5", DEFAULT_PRIME, FAULT, None, FAULT),
+    # not randomized, or not over a prime field: no second prime
+    ("digamma", DEFAULT_PRIME, AGREE, DISAGREE, AGREE),
+    ("prop-2-5", None, AGREE, DISAGREE, AGREE),
+])
+def test_merge_two_prime(name, field, first, second, expected):
+    cfg = FieldConfig.parse("Q" if field is None else "Fp:%d" % field)
+    assert merge_two_prime(name, cone.preset("quadric-s2-h1", cfg), first, second) == expected
+
+
+def _trivial_randomized_checks(monkeypatch):
+    for name, cdef in CHECKS.items():
+        if cdef.randomized:
+            monkeypatch.setitem(CHECKS, name, dataclasses.replace(
+                cdef, fn=lambda cd, ctx: CheckOutcome(PASS)))
+
+
+def test_one_genericity_gate_per_prime(monkeypatch):
+    calls = []
+
+    def counted(cd, ctx):
+        calls.append(cd.field_cfg.p)
+        return cone.certify_genericity(cd, ctx)
+
+    _trivial_randomized_checks(monkeypatch)
+    monkeypatch.setattr(checks, "certify_genericity", counted)
+    randomized = [n for n in CHECK_ORDER if CHECKS[n].randomized]
+    cfg = ScenarioConfig(preset_name="quadric-s2-h1", checks=("expansion-g", *randomized))
+    rep = run_scenario(cfg)
+    assert sum(r["witnesses"].get("second-prime") == SECOND_PRIME for r in rep["checks"]) == len(randomized)
+    # the second prime's gate ran in the child, where this process cannot count it
+    assert calls == [DEFAULT_PRIME]
+    outs = run_second_prime(randomized, *second_prime_data(cfg.cone_data(), EngineContext(seed=0)))
+    assert calls == [DEFAULT_PRIME, SECOND_PRIME]
+    assert [o.status for o in outs.values()] == [PASS] * len(randomized)
+
+
+def _raise_in_child(*args):
+    raise RuntimeError("injected in the child")
+
+
+def _exit_without_result(*args):
+    os._exit(0)
+
+
+def _killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("fault,message,tracebacks", [
+    (_raise_in_child, "second-prime process exited with status 1", 1),
+    (_exit_without_result, "second-prime process exited with status 0 and no result", 0),
+    (_killed, "second-prime process killed by signal %d" % signal.SIGKILL, 0),
+])
+def test_cli_verify_second_prime_process_fault_exits_3(monkeypatch, capfd, fault, message, tracebacks):
+    # the child inherits the patched function
+    monkeypatch.setattr(report, "run_second_prime", fault)
+    rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g,prop-2-5,w-covering"])
+    assert rc == 3
+    captured = capfd.readouterr()
+    rec = {r["name"]: r for r in json.loads(captured.out)["checks"]}
+    assert rec["expansion-g"]["status"] == PASS
+    for name in ("prop-2-5", "w-covering"):
+        assert rec[name]["status"] == INCONCLUSIVE
+        assert rec[name]["witnesses"] == {INTERNAL_ERROR: message, "second-prime": SECOND_PRIME}
+    assert captured.err.count("Traceback") == tracebacks
+    if tracebacks:
+        assert "internal error in the second-prime process" in captured.err
+        assert "RuntimeError: injected in the child" in captured.err
+
+
+def test_cli_verify_check_that_raises_at_the_second_prime_exits_3(monkeypatch, capfd):
+    def second_prime_only(cd, ctx):
+        if cd.field_cfg.p == SECOND_PRIME:
+            raise RuntimeError("injected")
+        return CheckOutcome(PASS)
+
+    monkeypatch.setitem(CHECKS, "prop-2-5", dataclasses.replace(CHECKS["prop-2-5"], fn=second_prime_only))
+    assert main(["verify", "--scenario", "quadric-s2-h1", "--checks", "prop-2-5"]) == 3
+    captured = capfd.readouterr()
+    (rec,) = json.loads(captured.out)["checks"]
+    assert rec["witnesses"][INTERNAL_ERROR] == "RuntimeError: injected"
+    assert rec["witnesses"]["second-prime"] == SECOND_PRIME
+    # printed once, by the child
+    assert captured.err.count("Traceback") == 1
+    assert captured.err.count("internal error in check prop-2-5") == 1
+
+
+def _reap_finished_children():
+    """Reap children that earlier tests left to be reaped later."""
+    while True:
+        try:
+            if os.waitpid(-1, os.WNOHANG)[0] == 0:
+                return
+        except ChildProcessError:
+            return
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _slow_second_prime(*args):
+    time.sleep(60)
+    return {}
+
+
+def test_run_scenario_leaves_no_process():
+    _reap_finished_children()
+    rep = run_scenario(fast_cfg(checks=("expansion-g", "prop-2-5")))
+    assert rep["checks"][1]["witnesses"]["second-prime"] == SECOND_PRIME
+    _assert_no_child()
+
+
+def test_parent_that_raises_kills_the_child(monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    _reap_finished_children()
+    monkeypatch.setattr(report, "run_second_prime", _slow_second_prime)
+    monkeypatch.setattr(report, "run_check", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(fast_cfg(checks=("prop-2-5",)))
+    assert time.monotonic() - start < 30
+    _assert_no_child()
+
+
+def test_gate_that_fails_kills_the_child(monkeypatch):
+    gate = CheckOutcome(INCONCLUSIVE, {"resource-cap": "basis-size", "during": checks.GATE})
+    _reap_finished_children()
+    monkeypatch.setattr(report, "run_second_prime", _slow_second_prime)
+    monkeypatch.setattr(report, "certify_gate", lambda cd, ctx: gate)
+    start = time.monotonic()
+    rep = run_scenario(fast_cfg(checks=("prop-2-5", "w-covering")))
+    assert time.monotonic() - start < 30
+    assert [r["witnesses"] for r in rep["checks"]] == [gate.witnesses] * 2
+    _assert_no_child()
+
+
+def _fork_fails():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def _must_not_fork():
+    raise AssertionError("forked a process with two threads")
+
+
+@pytest.mark.parametrize("why", ["missing", "fails", "threads"])
+def test_second_prime_in_process_without_fork(monkeypatch, why):
+    cfg = fast_cfg(checks=("expansion-g", "prop-2-5", "w-covering"))
+    forked = report_bytes(run_scenario(cfg))
+    if why == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _fork_fails if why == "fails" else _must_not_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(60,))
+    if why == "threads":
+        other.start()
+    try:
+        assert report_bytes(run_scenario(cfg)) == forked
+    finally:
+        release.set()
+        if why == "threads":
+            other.join(60)
+            assert not other.is_alive()
+
+
 def test_cli_verify_gate_cap_is_inconclusive(capsys):
     # the gate hits the basis cap before any check runs: INCONCLUSIVE, exit 0
     rc = main(["verify", "--scenario", "quadric-s2-h1", "--cap-basis", "1",
@@ -368,11 +567,14 @@ def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     ({"out": 1}, "out must be a path string, not 1"),
     ({"out": 5}, "out must be a path string, not 5"),
     ({"timings": "no"}, "timings must be true or false, not 'no'"),
+    ({"preset": []}, "preset must be a preset name, not []"),
+    ({"preset": {}}, "preset must be a preset name, not {}"),
 ])
 def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message):
     # each of these ended in a traceback and exit 1, the code that means FAIL,
     # or was misread: a float or boolean seed as an integer, "timings": "no"
-    # as true, and an integer "out" as a file descriptor
+    # as true, and an integer "out" as a file descriptor; a list or object
+    # as preset raised TypeError
     path = tmp_path / "s.json"
     path.write_text(json.dumps(dict({"preset": "quadric-s2-h1", "checks": ["expansion-g"]}, **extra)))
     assert main(["verify", "--scenario", str(path)]) == 2
@@ -450,6 +652,17 @@ def test_cli_verify_jobs_parallel(tmp_path, capsys):
     blobs = capsys.readouterr().out
     # two identical reports back to back
     assert blobs.count('"artifact"') == 2
+
+
+def test_cli_verify_jobs_forks_inside_pool_workers(capsys):
+    # pool workers are daemonic, and each forks its second-prime process
+    argv = ["verify", "--scenario", "quadric-s2-h1", "--scenario", "cubic-3f-h2",
+            "--checks", "expansion-g,prop-2-5"]
+    assert main(argv + ["--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert main(argv + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert serial.count('"second-prime": %d' % SECOND_PRIME) == 2
 
 
 def test_cli_explain(capsys):

@@ -7,20 +7,34 @@ printed has an upper bound: the memo is keyed by generator sets, and a
 polynomial keeps its printed form, so printing is left to RNG tags and
 witnesses.  When the memo was keyed by printed generators, this scenario
 printed 2,215 polynomials.
+
+`run_scenario` runs the second prime in a forked child, whose work this
+process cannot count, so the two halves are counted apart: the first prime
+through `run_scenario`, the second through `run_second_prime` in-process.
+When both ran in this process, with a fresh context and genericity gate for
+each randomized check at the second prime, the scenario computed 341
+Groebner bases through `EngineContext.groebner` and ran `buchberger` 227
+times.
 """
 
+import pytest
+
 from conekit import ideals, ring
-from conekit.checks import CHECK_ORDER
+from conekit.checks import CHECK_ORDER, CHECKS, run_second_prime, second_prime_data
+from conekit.ideals import EngineContext
 from conekit.report import ScenarioConfig, run_scenario
 
 LIGHT_CHECKS = tuple(c for c in CHECK_ORDER if c not in ("prop-2-1", "prop-2-6"))
+CFG = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991", checks=LIGHT_CHECKS, seed=0)
 
-GROEBNER_CALLS = 341
-BUCHBERGER_CALLS = 227
-MAX_PRINTS = 600  # 490 when the bound was set
+# (EngineContext.groebner calls, buchberger calls) of each half
+FIRST_PRIME = (199, 121)
+SECOND_PRIME = (133, 88)
+MAX_PRINTS = 600  # 490 when the bound was set, over both primes
 
 
-def test_light_scenario_work_counts(monkeypatch):
+@pytest.fixture
+def counts(monkeypatch):
     counts = {"groebner": 0, "buchberger": 0, "print": 0}
 
     def counted(key, fn):
@@ -33,8 +47,23 @@ def test_light_scenario_work_counts(monkeypatch):
                         counted("groebner", ideals.EngineContext.groebner))
     monkeypatch.setattr(ideals, "buchberger", counted("buchberger", ideals.buchberger))
     monkeypatch.setattr(ring, "_format_poly", counted("print", ring._format_poly))
-    cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991", checks=LIGHT_CHECKS, seed=0)
-    run_scenario(cfg)
-    assert counts["buchberger"] == BUCHBERGER_CALLS
-    assert counts["groebner"] == GROEBNER_CALLS
+    return counts
+
+
+def test_both_primes_do_less_than_one_context_per_check():
+    assert FIRST_PRIME[0] + SECOND_PRIME[0] <= 341
+    assert FIRST_PRIME[1] + SECOND_PRIME[1] <= 227
+
+
+def test_light_scenario_work_counts(counts):
+    # the first prime; the second runs in a child, uncounted here
+    run_scenario(CFG)
+    assert (counts["groebner"], counts["buchberger"]) == FIRST_PRIME
+    assert 0 < counts["print"] <= MAX_PRINTS
+
+
+def test_second_prime_work_counts(counts):
+    names = [n for n in LIGHT_CHECKS if CHECKS[n].randomized]
+    run_second_prime(names, *second_prime_data(CFG.cone_data(), EngineContext(seed=0)))
+    assert (counts["groebner"], counts["buchberger"]) == SECOND_PRIME
     assert 0 < counts["print"] <= MAX_PRINTS
