@@ -412,16 +412,6 @@ def test_cli_verify_check_that_raises_at_the_second_prime_exits_3(monkeypatch, c
     assert captured.err.count("internal error in check prop-2-5") == 1
 
 
-def _reap_finished_children():
-    """Reap children that earlier tests left to be reaped later."""
-    while True:
-        try:
-            if os.waitpid(-1, os.WNOHANG)[0] == 0:
-                return
-        except ChildProcessError:
-            return
-
-
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -433,7 +423,6 @@ def _slow_second_prime(*args):
 
 
 def test_run_scenario_leaves_no_process():
-    _reap_finished_children()
     rep = run_scenario(fast_cfg(checks=("expansion-g", "prop-2-5")))
     assert rep["checks"][1]["witnesses"]["second-prime"] == SECOND_PRIME
     _assert_no_child()
@@ -443,7 +432,6 @@ def test_parent_that_raises_kills_the_child(monkeypatch):
     def interrupted(*args):
         raise KeyboardInterrupt
 
-    _reap_finished_children()
     monkeypatch.setattr(report, "run_second_prime", _slow_second_prime)
     monkeypatch.setattr(report, "run_check", interrupted)
     start = time.monotonic()
@@ -455,7 +443,6 @@ def test_parent_that_raises_kills_the_child(monkeypatch):
 
 def test_gate_that_fails_kills_the_child(monkeypatch):
     gate = CheckOutcome(INCONCLUSIVE, {"resource-cap": "basis-size", "during": checks.GATE})
-    _reap_finished_children()
     monkeypatch.setattr(report, "run_second_prime", _slow_second_prime)
     monkeypatch.setattr(report, "certify_gate", lambda cd, ctx: gate)
     start = time.monotonic()
