@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -165,24 +163,34 @@ def load_scenario(path_or_preset: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(data)
 
 
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _SecondPrimeRun:
     """The second-prime re-runs of a scenario's randomized checks.
 
     They run in a forked child, concurrently with the parent's first-prime
     checks, and come back pickled through a pipe.  Where os.fork is
-    missing or fails, or the process has more than one thread, they run
-    in-process when `outcomes` is called.  A child that raises, exits
-    without a result or dies by a signal gives every check an INCONCLUSIVE
-    outcome with an `internal-error` witness.  `close` kills and reaps a
-    child whose outcomes were not read.
+    missing or fails, the process has more than one thread, or it may run
+    on one core only, they run in-process when `outcomes` is called.  A
+    child that raises, exits without a result or dies by a signal gives
+    every check an INCONCLUSIVE outcome with an `internal-error` witness.
+    `close` kills and reaps a child whose outcomes were not read.
     """
 
     def __init__(self, names: List[str], cd: ConeData, ctx: EngineContext):
+        import threading
+
         self.args = (names, *second_prime_data(cd, ctx))
         self.pid = self.fd = None
         # the child would hold only the forking thread, and any lock that
-        # another thread held at the fork would stay held there
-        if hasattr(os, "fork") and threading.active_count() == 1:
+        # another thread held at the fork would stay held there; on one
+        # core it would only take turns with the parent
+        if hasattr(os, "fork") and threading.active_count() == 1 and _cores() > 1:
             # else text buffered before the fork would be written twice
             sys.stdout.flush()
             sys.stderr.flush()
@@ -210,6 +218,8 @@ class _SecondPrimeRun:
                 fh.write(data)
             code = 0
         except BaseException:  # the child exits here, never into the parent's frames
+            import traceback
+
             print("internal error in the second-prime process:", file=sys.stderr)
             traceback.print_exc()
         finally:

@@ -334,6 +334,12 @@ def test_merge_two_prime(name, field, first, second, expected):
     assert merge_two_prime(name, cone.preset("quadric-s2-h1", cfg), first, second) == expected
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    # the second prime forks only where the process may run on two cores
+    monkeypatch.setattr(report, "_cores", lambda: 2)
+
+
 def _trivial_randomized_checks(monkeypatch):
     for name, cdef in CHECKS.items():
         if cdef.randomized:
@@ -341,7 +347,7 @@ def _trivial_randomized_checks(monkeypatch):
                 cdef, fn=lambda cd, ctx: CheckOutcome(PASS)))
 
 
-def test_one_genericity_gate_per_prime(monkeypatch):
+def test_one_genericity_gate_per_prime(monkeypatch, two_cores):
     calls = []
 
     def counted(cd, ctx):
@@ -378,7 +384,8 @@ def _killed(*args):
     (_exit_without_result, "second-prime process exited with status 0 and no result", 0),
     (_killed, "second-prime process killed by signal %d" % signal.SIGKILL, 0),
 ])
-def test_cli_verify_second_prime_process_fault_exits_3(monkeypatch, capfd, fault, message, tracebacks):
+def test_cli_verify_second_prime_process_fault_exits_3(monkeypatch, capfd, two_cores, fault, message,
+                                                       tracebacks):
     # the child inherits the patched function
     monkeypatch.setattr(report, "run_second_prime", fault)
     rc = main(["verify", "--scenario", "quadric-s2-h1", "--checks", "expansion-g,prop-2-5,w-covering"])
@@ -395,7 +402,7 @@ def test_cli_verify_second_prime_process_fault_exits_3(monkeypatch, capfd, fault
         assert "RuntimeError: injected in the child" in captured.err
 
 
-def test_cli_verify_check_that_raises_at_the_second_prime_exits_3(monkeypatch, capfd):
+def test_cli_verify_check_that_raises_at_the_second_prime_exits_3(monkeypatch, capfd, two_cores):
     def second_prime_only(cd, ctx):
         if cd.field_cfg.p == SECOND_PRIME:
             raise RuntimeError("injected")
@@ -412,6 +419,22 @@ def test_cli_verify_check_that_raises_at_the_second_prime_exits_3(monkeypatch, c
     assert captured.err.count("internal error in check prop-2-5") == 1
 
 
+@pytest.mark.parametrize("cores", [2, 1])
+def test_cli_verify_check_that_raises_at_both_primes_prints_two_tracebacks(monkeypatch, capfd, cores):
+    # the second prime starts before the first prime's fault is known, so it
+    # runs and prints its own traceback, forked or not; the report keeps the
+    # first fault
+    monkeypatch.setitem(CHECKS, "prop-2-5", dataclasses.replace(CHECKS["prop-2-5"], fn=_boom))
+    monkeypatch.setattr(report, "_cores", lambda: cores)
+    assert main(["verify", "--scenario", "quadric-s2-h1", "--checks", "prop-2-5"]) == 3
+    captured = capfd.readouterr()
+    (rec,) = json.loads(captured.out)["checks"]
+    assert rec["witnesses"][INTERNAL_ERROR] == "ZeroDivisionError: injected"
+    assert "second-prime" not in rec["witnesses"]
+    assert captured.err.count("Traceback") == 2
+    assert captured.err.count("internal error in check prop-2-5") == 2
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -422,13 +445,13 @@ def _slow_second_prime(*args):
     return {}
 
 
-def test_run_scenario_leaves_no_process():
+def test_run_scenario_leaves_no_process(two_cores):
     rep = run_scenario(fast_cfg(checks=("expansion-g", "prop-2-5")))
     assert rep["checks"][1]["witnesses"]["second-prime"] == SECOND_PRIME
     _assert_no_child()
 
 
-def test_parent_that_raises_kills_the_child(monkeypatch):
+def test_parent_that_raises_kills_the_child(monkeypatch, two_cores):
     def interrupted(*args):
         raise KeyboardInterrupt
 
@@ -441,7 +464,7 @@ def test_parent_that_raises_kills_the_child(monkeypatch):
     _assert_no_child()
 
 
-def test_gate_that_fails_kills_the_child(monkeypatch):
+def test_gate_that_fails_kills_the_child(monkeypatch, two_cores):
     gate = CheckOutcome(INCONCLUSIVE, {"resource-cap": "basis-size", "during": checks.GATE})
     monkeypatch.setattr(report, "run_second_prime", _slow_second_prime)
     monkeypatch.setattr(report, "certify_gate", lambda cd, ctx: gate)
@@ -457,17 +480,19 @@ def _fork_fails():
 
 
 def _must_not_fork():
-    raise AssertionError("forked a process with two threads")
+    raise AssertionError("forked where the re-runs must run in-process")
 
 
-@pytest.mark.parametrize("why", ["missing", "fails", "threads"])
-def test_second_prime_in_process_without_fork(monkeypatch, why):
+@pytest.mark.parametrize("why", ["missing", "fails", "threads", "one-core"])
+def test_second_prime_in_process_without_fork(monkeypatch, two_cores, why):
     cfg = fast_cfg(checks=("expansion-g", "prop-2-5", "w-covering"))
     forked = report_bytes(run_scenario(cfg))
     if why == "missing":
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", _fork_fails if why == "fails" else _must_not_fork)
+    if why == "one-core":
+        monkeypatch.setattr(report, "_cores", lambda: 1)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(60,))
     if why == "threads":
@@ -641,7 +666,7 @@ def test_cli_verify_jobs_parallel(tmp_path, capsys):
     assert blobs.count('"artifact"') == 2
 
 
-def test_cli_verify_jobs_forks_inside_pool_workers(capsys):
+def test_cli_verify_jobs_forks_inside_pool_workers(capsys, two_cores):
     # pool workers are daemonic, and each forks its second-prime process
     argv = ["verify", "--scenario", "quadric-s2-h1", "--scenario", "cubic-3f-h2",
             "--checks", "expansion-g,prop-2-5"]

@@ -9,17 +9,20 @@ witnesses.  When the memo was keyed by printed generators, this scenario
 printed 2,215 polynomials.
 
 `run_scenario` runs the second prime in a forked child, whose work this
-process cannot count, so the two halves are counted apart: the first prime
-through `run_scenario`, the second through `run_second_prime` in-process.
-When both ran in this process, with a fresh context and genericity gate for
-each randomized check at the second prime, the scenario computed 341
+process cannot count.  With `os.fork` deleted it runs both primes here,
+and the whole scenario is counted and bounded.  The two halves are also
+pinned apart: the first prime through a forking `run_scenario`, the second
+through `run_second_prime`.  When each randomized check had a fresh
+context and genericity gate at the second prime, the scenario computed 341
 Groebner bases through `EngineContext.groebner` and ran `buchberger` 227
 times.
 """
 
+import os
+
 import pytest
 
-from conekit import ideals, ring
+from conekit import ideals, report, ring
 from conekit.checks import CHECK_ORDER, CHECKS, run_second_prime, second_prime_data
 from conekit.ideals import EngineContext
 from conekit.report import ScenarioConfig, run_scenario
@@ -50,20 +53,23 @@ def counts(monkeypatch):
     return counts
 
 
-def test_both_primes_do_less_than_one_context_per_check():
-    assert FIRST_PRIME[0] + SECOND_PRIME[0] <= 341
-    assert FIRST_PRIME[1] + SECOND_PRIME[1] <= 227
+def test_light_scenario_work_counts(counts, monkeypatch):
+    # both primes in this process
+    monkeypatch.delattr(os, "fork")
+    run_scenario(CFG)
+    both = (FIRST_PRIME[0] + SECOND_PRIME[0], FIRST_PRIME[1] + SECOND_PRIME[1])
+    assert (counts["groebner"], counts["buchberger"]) == both
+    assert 0 < counts["print"] <= MAX_PRINTS
 
 
-def test_light_scenario_work_counts(counts):
-    # the first prime; the second runs in a child, uncounted here
+def test_first_prime_work_counts(counts, monkeypatch):
+    # the second prime runs in a child, uncounted here
+    monkeypatch.setattr(report, "_cores", lambda: 2)
     run_scenario(CFG)
     assert (counts["groebner"], counts["buchberger"]) == FIRST_PRIME
-    assert 0 < counts["print"] <= MAX_PRINTS
 
 
 def test_second_prime_work_counts(counts):
     names = [n for n in LIGHT_CHECKS if CHECKS[n].randomized]
     run_second_prime(names, *second_prime_data(CFG.cone_data(), EngineContext(seed=0)))
     assert (counts["groebner"], counts["buchberger"]) == SECOND_PRIME
-    assert 0 < counts["print"] <= MAX_PRINTS
