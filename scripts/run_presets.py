@@ -11,14 +11,13 @@ Usage:
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 
 from conekit.checks import CHECK_ORDER
 from conekit.cone import PRESETS
 from conekit.fields import DEFAULT_PRIME, SECOND_PRIME
-from conekit.report import ScenarioConfig, report_bytes, run_scenario
+from conekit.report import ScenarioConfig, report_bytes, run_scenarios
 
 
 def build_configs(args):
@@ -51,11 +50,7 @@ def main(argv=None):
 
     os.makedirs(args.out_dir, exist_ok=True)
     configs = build_configs(args)
-    if args.jobs > 1:
-        with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
-            reports = pool.map(run_scenario, configs)
-    else:
-        reports = [run_scenario(c) for c in configs]
+    reports = run_scenarios(configs, args.jobs)
 
     width = max(len(c["name"]) for r in reports for c in r["checks"])
     for cfg, rep in zip(configs, reports):

@@ -21,7 +21,7 @@ from .report import (
     report_bytes,
     report_has_fail,
     report_has_internal_error,
-    run_scenario,
+    run_scenarios,
 )
 from .ring import (
     AmbientSpace,
@@ -79,13 +79,7 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(configs) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(args.jobs, len(configs))) as pool:
-            reports = pool.map(run_scenario, configs)
-    else:
-        reports = [run_scenario(c) for c in configs]
+    reports = run_scenarios(configs, args.jobs)
     any_fail = any_error = False
     for cfg, rep in zip(configs, reports):
         blob = report_bytes(rep)

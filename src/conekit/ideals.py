@@ -4,6 +4,13 @@ An Ideal is a ring plus a generator tuple.  All derived computations go
 through an EngineContext, which owns the resource caps, the seeded RNG
 streams for randomized reductions, an in-process memo, and (optionally)
 the on-disk basis cache.
+
+Every saturation ends in saturate_by_poly, the one saturation by a single
+element: the divide-out of Bayer & Stillman for a linear form over a
+homogeneous ideal, one 1 - u*g elimination otherwise.  saturate_block
+saturates by a seeded random linear form of the block, and saturate by
+one random combination of J's generators; both are Monte Carlo, exact
+unless the random element lies in an associated prime it should avoid.
 """
 
 from __future__ import annotations
@@ -205,6 +212,14 @@ def move_ideal(ideal: Ideal, target: PolyRing) -> Ideal:
     return Ideal(target, [target.convert(g) for g in ideal.gens])
 
 
+def _with_inverse(ideal: Ideal, g: Poly) -> Tuple[Ideal, str]:
+    """I + (1 - u*g) in the ring with a fresh affine variable u, and u's block."""
+    ring2, u, block = _with_aux_var(ideal.ring, "u")
+    gens = [ring2.convert(h) for h in ideal.gens]
+    gens.append(ring2.one() - u * ring2.convert(g))
+    return Ideal(ring2, gens), block
+
+
 # ---------------------------------------------------------------------------
 # elimination
 
@@ -278,18 +293,6 @@ def quotient_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
     return Ideal(ideal.ring, [exact_div(h, g) for h in meet.gens])
 
 
-def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
-    """(I : g^∞) in one elimination: drop u from I + (1 - u*g)."""
-    if g.is_zero():
-        raise IdealError("saturation by zero")
-    ring = ideal.ring
-    ring2, u, block = _with_aux_var(ring, "u")
-    gens = [ring2.convert(h) for h in ideal.gens]
-    gens.append(ring2.one() - u * ring2.convert(g))
-    elim = eliminate(Ideal(ring2, gens), [block], ctx)
-    return move_ideal(elim, ring)
-
-
 def _random_block_linear(ring: PolyRing, block: str, rng: random.Random) -> Poly:
     terms = {}
     for i in ring.ambient.block_range(block):
@@ -325,45 +328,56 @@ def _linear_change(form: Poly) -> Tuple[str, Poly, Poly]:
     return pname, fwd, back
 
 
-def saturate_block(ideal: Ideal, block: str, ctx: EngineContext) -> Ideal:
-    """Saturation by the irrelevant ideal of one block, (I : (v_0..v_k)^∞).
+def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
+    """(I : g^∞), the one saturation by a single element.
 
-    Computed as I : ℓ^∞ for a seeded random linear form ℓ of the block:
-    equal to the true block saturation with high probability (ℓ must avoid
-    every associated prime that does not contain the whole block).  A
-    change of coordinates inside the block makes ℓ a variable v (a block
-    of one variable is v itself).  For an ideal homogeneous in the total
-    grading, I : v^∞ is the divide-out of Bayer & Stillman: a basis under
-    grevlex with v globally smallest, each element stripped of its
-    v-power content.  Any other ideal falls back to saturate_by_poly.
+    For a linear form g with no constant term and an ideal homogeneous in
+    the total grading, this is the divide-out of Bayer & Stillman: a
+    change of coordinates makes g its last variable v (a multiple of one
+    variable needs none), and a basis under grevlex with v globally
+    smallest, each element stripped of its v-power content, generates
+    I : v^∞.  Anything else drops u from I + (1 - u*g) in one elimination.
     """
+    if g.is_zero():
+        raise IdealError("saturation by zero")
     ring = ideal.ring
-    block_idx = ring.ambient.block_range(block)
+    if any(sum(m) != 1 for m in g.terms) or not ideal.is_homogeneous():
+        extended, block = _with_inverse(ideal, g)
+        return move_ideal(eliminate(extended, [block], ctx), ring)
+    support = sorted(g.variables())
+    idx = support[-1]
     back = None
     moved = ideal
-    if len(block_idx) == 1:
-        idx = block_idx[0]
-    else:
-        form = _random_block_linear(ring, block, ctx.rng("saturate-block", block, ideal.key()))
-        support = sorted(form.variables())
-        idx = support[-1]
-        if len(support) > 1:
-            name, fwd, back = _linear_change(form)
-            moved = Ideal(ring, substitute_all(ideal.gens, {name: fwd}))
-    if moved.is_homogeneous():
-        order = PermutedGrevlexOrder.with_last(ring.nvars, idx)
-        sat = []
-        for b in ctx.groebner(moved, order):
-            power = min(m[idx] for m in b.terms)
-            if power:
-                b = Poly(ring, {m[:idx] + (m[idx] - power,) + m[idx + 1:]: c
-                                for m, c in b.terms.items()})
-            sat.append(b)
-    else:
-        sat = saturate_by_poly(moved, ring.var_by_index(idx), ctx).gens
+    if len(support) > 1:
+        name, fwd, back = _linear_change(g)
+        moved = Ideal(ring, substitute_all(ideal.gens, {name: fwd}))
+    order = PermutedGrevlexOrder.with_last(ring.nvars, idx)
+    sat = []
+    for b in ctx.groebner(moved, order):
+        power = min(m[idx] for m in b.terms)
+        if power:
+            b = Poly(ring, {m[:idx] + (m[idx] - power,) + m[idx + 1:]: c
+                            for m, c in b.terms.items()})
+        sat.append(b)
     if back is not None:
         sat = substitute_all(sat, {name: back})
     return Ideal(ring, sat)
+
+
+def saturate_block(ideal: Ideal, block: str, ctx: EngineContext) -> Ideal:
+    """Saturation by the irrelevant ideal of one block, (I : (v_0..v_k)^∞).
+
+    Computed as saturate_by_poly(I, ℓ) for a seeded random linear form ℓ
+    of the block (a block of one variable takes the variable): equal to
+    the true block saturation with high probability (ℓ must avoid every
+    associated prime that does not contain the whole block).
+    """
+    block_idx = ideal.ambient.block_range(block)
+    if len(block_idx) == 1:
+        form = ideal.ring.var_by_index(block_idx[0])
+    else:
+        form = _random_block_linear(ideal.ring, block, ctx.rng("saturate-block", block, ideal.key()))
+    return saturate_by_poly(ideal, form, ctx)
 
 
 def multisaturate(
@@ -405,17 +419,16 @@ def _equalize_multidegree(
 
 
 def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext) -> Ideal:
-    """(I : J^∞) for an arbitrary finitely generated J.
+    """(I : J^∞) for an arbitrary finitely generated J, as I : c^∞.
 
-    cur = I : c0^∞ for a random J-combination c0 of common multidegree,
-    then a stability test against a fresh combination h: nxt = cur : h^∞,
-    and cur is returned when nxt ⊆ cur.  Since
-    cur ⊆ cur : h ⊆ cur : h^∞, the three tests cur : h ⊆ cur,
-    cur : h^∞ = cur and cur : h^∞ ⊆ cur are equivalent, so the second
-    saturation certifies exactly what the colon cur : h would, at the cost
-    of one 1 - u*h elimination instead of an intersection.  When the test
-    fails, cur becomes nxt and a new h is drawn.  Correct with high
-    probability: the test cannot see a component that c0 already removed.
+    c is J's generator when J has one, else a random combination of J's
+    generators raised to a common multidegree, and saturate_by_poly takes
+    it.  I : c^∞ contains I : J^∞, with equality unless c lies in an
+    associated prime of I that does not contain J: a Monte Carlo result.
+    No test on the result can detect that case, since the lost component
+    is not associated to I : c^∞; and a further saturation by any h in J
+    changes nothing, since every associated prime of I : c^∞ avoids c and
+    so does not contain J (Cox, Little & O'Shea, ch. 4 §4).
     """
     if target.is_zero():
         raise IdealError("saturation by the zero ideal")
@@ -424,24 +437,12 @@ def saturate(ideal: Ideal, target: Ideal, ctx: EngineContext) -> Ideal:
         return saturate_by_poly(ideal, gens[0], ctx)
     F = ideal.ring.field
     tag = ("saturate", ideal.key(), target.key())
-
-    def combo(round_no: int) -> Poly:
-        raised = _equalize_multidegree(gens, ctx, tag + (round_no,))
-        pool = raised if raised is not None else gens
-        rng = ctx.rng(*(tag + ("combo", round_no)))
-        acc = ideal.ring.zero()
-        for g in pool:
-            acc = acc + g.scale(F.sample_nonzero(rng))
-        return acc
-
-    cur = saturate_by_poly(ideal, combo(0), ctx)
-    round_no = 1
-    while True:
-        nxt = saturate_by_poly(cur, combo(round_no), ctx)
-        if contains_ideal(cur, nxt, ctx):
-            return cur
-        cur = nxt
-        round_no += 1
+    raised = _equalize_multidegree(gens, ctx, tag + (0,))
+    rng = ctx.rng(*(tag + ("combo", 0)))
+    combo = ideal.ring.zero()
+    for g in raised if raised is not None else gens:
+        combo = combo + g.scale(F.sample_nonzero(rng))
+    return saturate_by_poly(ideal, combo, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +453,8 @@ def radical_member(p: Poly, ideal: Ideal, ctx: EngineContext) -> bool:
     """p ∈ √I, tested by forcing 1 - u*p to be a unit modulo I."""
     if p.is_zero():
         return True
-    ring = ideal.ring
-    ring2, u, _ = _with_aux_var(ring, "u")
-    gens = [ring2.convert(g) for g in ideal.gens]
-    gens.append(ring2.one() - u * ring2.convert(p))
-    return is_unit_ideal(Ideal(ring2, gens), ctx)
+    extended, _ = _with_inverse(ideal, p)
+    return is_unit_ideal(extended, ctx)
 
 
 def radical_contains_ideal(

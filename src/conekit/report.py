@@ -308,6 +308,17 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     return report
 
 
+def run_scenarios(configs: List[ScenarioConfig], jobs: int) -> List[dict]:
+    """run_scenario over every config, in order; a pool of up to `jobs`
+    workers when there is more than one worker and more than one config."""
+    if jobs > 1 and len(configs) > 1:
+        import multiprocessing
+
+        with multiprocessing.Pool(min(jobs, len(configs))) as pool:
+            return pool.map(run_scenario, configs)
+    return [run_scenario(c) for c in configs]
+
+
 def _genericity_record(genericity) -> dict:
     if isinstance(genericity, CheckOutcome):
         return {"status": genericity.status, "witnesses": genericity.witnesses}

@@ -82,12 +82,6 @@ class AmbientSpace:
         except KeyError:
             raise RingError("unknown variable %r" % name)
 
-    def block_of_index(self, i: int) -> Block:
-        for b in self.blocks:
-            if i in self._ranges[b.name]:
-                return b
-        raise RingError("index out of range")
-
     @property
     def projective_blocks(self) -> Tuple[Block, ...]:
         return tuple(b for b in self.blocks if b.projective)

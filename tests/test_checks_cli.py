@@ -615,10 +615,10 @@ def test_cli_verify_unusable_path_exit_2(tmp_path, monkeypatch, capsys, where, k
     spath = tmp_path / "s.json"
     spath.write_text(json.dumps(scenario))
 
-    def no_run(cfg):
+    def no_run(configs, jobs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr("conekit.cli.run_scenario", no_run)
+    monkeypatch.setattr("conekit.cli.run_scenarios", no_run)
     assert main(argv + [str(spath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message.format(path, os.path.dirname(path)))
@@ -664,6 +664,19 @@ def test_cli_verify_jobs_parallel(tmp_path, capsys):
     blobs = capsys.readouterr().out
     # two identical reports back to back
     assert blobs.count('"artifact"') == 2
+
+
+@pytest.mark.parametrize("jobs,n_configs", [(1, 2), (3, 1)])
+def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
+    # one worker, or one scenario, runs in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % DEFAULT_PRIME,
+                         checks=("expansion-g",), seed=0)
+    reports = report.run_scenarios([cfg] * n_configs, jobs)
+    assert [report_bytes(r) for r in reports] == [report_bytes(run_scenario(cfg))] * n_configs
 
 
 def test_cli_verify_jobs_forks_inside_pool_workers(capsys, two_cores):

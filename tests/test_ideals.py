@@ -88,20 +88,56 @@ def test_saturation_bayer_matches_iterated_colon():
     assert ideal_equal(saturate_by_poly_iterated(I, v, CTX), expect, CTX)
 
 
-@pytest.mark.parametrize("homogeneous", [True, False])
-@pytest.mark.parametrize("var", [0, 1, 2])
-def test_block_saturation_by_a_one_variable_form(monkeypatch, homogeneous, var):
-    # a random form c*v takes the divide-out route without a coordinate
-    # change (or saturate_by_poly, for an ideal that is not homogeneous)
+def check_block_saturation_by_form(monkeypatch, homogeneous, support):
+    # saturate_block with its random form patched to a fixed form, and
+    # saturate_by_poly by that form, against the iterated colon, which
+    # never takes the divide-out
     R = PolyRing(AmbientSpace.product(("x", 3), ("y", 2)), FP)
     x0, x1, x2, y0, y1 = R.gens()
     extra = x1 * x1 * y0 if homogeneous else x1 * y0
     I = Ideal(R, [x0 * x1 * x2 * y1, x2 * x2 * x0 * y0 - extra * x1, x1 * x0 * x0 * y1])
-    v = R.var_by_index(var)
-    monkeypatch.setattr(ideals, "_random_block_linear",
-                        lambda ring, block, rng: v.scale(FP.from_int(7)))
+    form = R.zero()
+    for c, i in zip((7, 3, 5), support):
+        form = form + R.var_by_index(i).scale(FP.from_int(c))
+    monkeypatch.setattr(ideals, "_random_block_linear", lambda ring, block, rng: form)
     assert I.is_homogeneous() == homogeneous
-    assert ideal_equal(saturate_block(I, "x", CTX), saturate_by_poly(I, v, CTX), CTX)
+    expect = saturate_by_poly_iterated(I, form, CTX)
+    assert not ideal_equal(expect, I, CTX)
+    assert ideal_equal(saturate_block(I, "x", CTX), expect, CTX)
+    assert ideal_equal(saturate_by_poly(I, form, CTX), expect, CTX)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("var", [0, 1, 2])
+def test_block_saturation_by_a_one_variable_form(monkeypatch, homogeneous, var):
+    # a form 7*v takes the divide-out with no coordinate change (or the
+    # elimination, for an ideal that is not homogeneous)
+    check_block_saturation_by_form(monkeypatch, homogeneous, (var,))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("support", [(0, 2), (1, 2), (0, 1, 2)], ids=["x0,x2", "x1,x2", "x0,x1,x2"])
+def test_block_saturation_by_a_linear_form(monkeypatch, homogeneous, support):
+    # a form on two or three variables takes the divide-out after a change
+    # of coordinates (or the elimination, for an ideal that is not homogeneous)
+    check_block_saturation_by_form(monkeypatch, homogeneous, support)
+
+
+def test_general_saturation_saturates_once(monkeypatch):
+    R = ring_p3()
+    x0, x1, x2, x3 = R.gens()
+    I = Ideal(R, [x0 * x3, x1 * x3, x2 * x3])
+    J = Ideal(R, [x1, x2, x0 + x1])
+    calls = []
+
+    def counted(ideal, g, ctx):
+        calls.append(g)
+        return saturate_by_poly(ideal, g, ctx)
+
+    monkeypatch.setattr(ideals, "saturate_by_poly", counted)
+    got = saturate(I, J, EngineContext(seed=0))
+    assert len(calls) == 1
+    assert ideal_equal(got, Ideal(R, [x3]), CTX)
 
 
 @settings(max_examples=10, deadline=None)
@@ -219,7 +255,7 @@ def ideal_and_probe(draw):
 @given(case=ideal_and_probe())
 def test_colon_and_saturation_certify_the_same(case):
     # cur ⊆ cur : h ⊆ cur : h^∞, so cur : h ⊆ cur iff cur : h^∞ ⊆ cur:
-    # saturate() may certify stability with a second saturation
+    # a colon and a saturation by the same h tell the same about stability
     I, h = case
     ctx = EngineContext(seed=0)
     by_colon = contains_ideal(I, quotient_by_poly(I, h, ctx), ctx)

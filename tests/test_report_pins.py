@@ -48,3 +48,20 @@ def test_light_report_bytes_pinned_over_rationals(preset):
     cfg = ScenarioConfig(preset_name=preset, field="Q", checks=LIGHT_CHECKS, seed=0)
     digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
     assert digest == PINNED_Q[preset]
+
+
+# the heavy checks on quadric-s2-h1 at both standard primes, seed 0: they
+# build theta and call is_component and cone_family_end, which the light
+# checks do not (about 3 s each)
+PINNED_HEAVY = {
+    DEFAULT_PRIME: "abf3da11b9f89353ca57889b95c0b7546627f40f5a2f304172b75798bf0c1ba8",
+    SECOND_PRIME: "4884cea01da3dc87ae7e9b3d0806367c3b6ff43e284b1f0261c2ea25e9d1cb9f",
+}
+
+
+@pytest.mark.parametrize("prime", sorted(PINNED_HEAVY))
+def test_heavy_quadric_report_bytes_pinned(prime):
+    cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % prime,
+                         checks=("prop-2-1", "prop-2-6"), seed=0)
+    digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
+    assert digest == PINNED_HEAVY[prime]
