@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from .cache import BasisCache
@@ -79,7 +80,11 @@ def cmd_verify(args) -> int:
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    reports = run_scenarios(configs, args.jobs)
+    try:
+        reports = run_scenarios(configs, args.jobs)
+    except BrokenProcessPool as exc:
+        print("internal error: a scenario worker died: %s" % exc, file=sys.stderr)
+        return 3
     any_fail = any_error = False
     for cfg, rep in zip(configs, reports):
         blob = report_bytes(rep)

@@ -30,7 +30,6 @@ from .ideals import (
     saturate,
     saturate_by_poly,
 )
-from .linalg import determinant
 from .ring import AmbientSpace, Block, Poly, PolyRing, RingError
 from .scheme import (
     RationalMapSpec,
@@ -133,36 +132,6 @@ def preset(name: str, field_cfg: Optional[FieldConfig] = None) -> ConeData:
 
 # ---------------------------------------------------------------------------
 # the one-parameter linear twist
-
-
-def twist_matrix(cd: ConeData, t, z) -> List[List[object]]:
-    """Matrix of the twist on the n+2 coordinates, at affine t != 0, steady z.
-
-    Fixes e_0..e_{n+1-h}, sends e_{n+2-h} to t*(z*e_{n+2-h} - e_0), and
-    scales e_i by t for i >= n+3-h.
-    """
-    F = cd.field_cfg.field()
-    t = F.from_int(t) if isinstance(t, int) else t
-    z = F.from_int(z) if isinstance(z, int) else z
-    if not t:
-        raise ConeDataError("twist is undefined at t = 0")
-    if not z:
-        raise ConeDataError("twist is undefined at the unsteady point z = 0")
-    m = cd.nx
-    p = cd.pivot
-    mat = [[F.zero] * m for _ in range(m)]
-    for i in range(p):
-        mat[i][i] = F.one
-    # column convention: column j holds the image of e_j
-    mat[p][p] = t * z % F.p if F.p else t * z
-    mat[0][p] = -t % F.p if F.p else -t
-    for i in range(p + 1, m):
-        mat[i][i] = t
-    return mat
-
-
-def twist_determinant(cd: ConeData, t, z):
-    return determinant(cd.field_cfg.field(), twist_matrix(cd, t, z))
 
 
 def twist_map_spec(cd: ConeData, ring_tzx: Optional[PolyRing] = None) -> RationalMapSpec:
@@ -270,7 +239,7 @@ def diagonal_component_ideal(cd: ConeData, ring: PolyRing) -> Ideal:
     for i in range(cd.nx):
         for j in range(i + 1, cd.nx):
             gens.append(x[i] * y[j] - x[j] * y[i])
-    gens.append(cd.section_form(ring, "x", range(cd.nx)))
+    gens.append(cd.f_in(ring))
     return Ideal(ring, gens)
 
 
@@ -279,8 +248,6 @@ class PencilReport:
     """First-order data of the twisted family along t at t=1."""
 
     first_order: Poly  # z-homogenized first expansion coefficient, in (z, x)
-    coeff_at_unsteady: Poly  # the z0-part
-    coeff_at_steady: Poly  # the z1-part
     nonzero: bool
     z_dependent: bool
 
@@ -300,7 +267,7 @@ def expansion_pencil(cd: ConeData) -> PencilReport:
     ring = cd.ring(cd.ambient_zx())
     z0, z1 = ring.block_vars("z")
     x = ring.block_vars("x")
-    f = cd.section_form(ring, "x", range(cd.nx))
+    f = cd.f_in(ring)
     p = cd.pivot
     x0 = ring.ambient.var_index("x0")
     A = x[p] * _partial(ring, f, x0)
@@ -312,39 +279,8 @@ def expansion_pencil(cd: ConeData) -> PencilReport:
     if A.is_zero() or B.is_zero():
         z_dep = False
     else:
-        z_dep = A.monic(ring.order) != B.monic(ring.order)
-    return PencilReport(
-        first_order=pencil,
-        coeff_at_unsteady=A,
-        coeff_at_steady=B,
-        nonzero=nonzero,
-        z_dependent=z_dep,
-    )
-
-
-def expansion_pencil_taylor(cd: ConeData) -> Poly:
-    """Oracle route to the same pencil: literal (t-1)-coefficient of
-    f(twist(x)) pushed through the decomposition, z-cleared.
-
-    Returned in the (z, x) ring, for cross-checking expansion_pencil up
-    to a unit and powers of the twisted hyperplane combination.
-    """
-    from .ring import taylor_shift_coefficient
-
-    amb = AmbientSpace.product(("t", 1), ("w", 1), ("x", cd.nx), affine=("t", "w"))
-    ring = cd.ring(amb)
-    t = ring.var("t0")
-    w = ring.var("w0")
-    x = ring.block_vars("x")
-    p = cd.pivot
-    # twist in affine (t, w): e0-part x0 - t*x_p is wrong chart; use the
-    # direct coordinate images of the twist matrix
-    sub = {"x0": x[0] - t * x[p], ("x%d" % p): t * w * x[p]}
-    for i in range(p + 1, cd.nx):
-        sub["x%d" % i] = t * x[i]
-    f = cd.section_form(ring, "x", range(cd.nx))
-    moved = f.substitute(sub)
-    return taylor_shift_coefficient(moved, "t0", 1)
+        z_dep = A.monic() != B.monic()
+    return PencilReport(first_order=pencil, nonzero=nonzero, z_dependent=z_dep)
 
 
 @dataclass
@@ -386,10 +322,7 @@ def certify_genericity(cd: ConeData, ctx: EngineContext) -> GenericityReport:
     """Gate the instance: the hypersurface must be smooth and the twist's
     first-order behaviour nondegenerate; the two plane sections are
     checked and recorded but only noted when they fail."""
-    ring = cd.ring(cd.ambient_x())
-    f = cd.f_in(ring)
-    gens = [f] + [_partial(ring, f, i) for i in range(cd.nx)]
-    smooth = hilbert_data(Ideal(ring, gens), ctx).dimension < 0
+    smooth = _section_smooth(cd, range(cd.nx), ctx)
     sec_h = _section_smooth(cd, list(range(cd.pivot)), ctx)
     sec_rest = _section_smooth(cd, [0] + list(range(cd.pivot, cd.nx)), ctx)
     pencil = expansion_pencil(cd)
@@ -445,7 +378,7 @@ class ConeSchemes:
     def sigma(self) -> Subscheme:
         def build():
             ring = self.omega.ring
-            fx = self.cd.section_form(ring, "x", range(self.cd.nx))
+            fx = self.cd.f_in(ring)
             fy = self.cd.section_form(ring, "y", range(self.cd.nx))
             return Subscheme.saturated(self.omega.ideal.with_extra([fx, fy]), self.ctx)
 
@@ -481,7 +414,7 @@ class ConeSchemes:
         def build():
             G = self.projection_graph
             ring = G.ring
-            fx = self.cd.section_form(ring, "x", range(self.cd.nx))
+            fx = self.cd.f_in(ring)
             fy = self.cd.section_form(ring, "y", range(self.cd.pivot))
             return G.ideal.with_extra([fx, fy])
 
@@ -607,28 +540,24 @@ def cone_family_end(schemes: ConeSchemes, delta_x: Ideal) -> FamilyEndResult:
     """End of the one-parameter family through delta: intersect the moved
     family with delta on the source copy, keep only the part dominating
     the t-line, specialize t to 0, project to the target copy."""
-    cd, ctx = schemes.cd, schemes.ctx
+    ctx = schemes.ctx
     ring = schemes.theta.ring
     moved = schemes.theta.ideal.with_extra(
         [ring.convert(g) for g in delta_x.gens]
     )
     t0, t1 = ring.block_vars("t")
-    # drop the parts sitting inside the three distinguished parameter fibers
+    # drop the parts sitting inside the three distinguished parameter fibers;
+    # (e): t1, t0 - t1 and t0 lie in m_t, so what is left is m_t-saturated
     for form in (t1, t0 - t1, t0):
         moved = saturate_by_poly(moved, form, ctx)
     # certify what is left dominates the parameter line
-    sat_all = multisaturate(moved, ctx)
+    sat_all = multisaturate(moved, ctx, blocks=["z", "x", "y"])
     residual = eliminate(sat_all, ["z", "x", "y"], ctx)
     dominant = not residual.gens
-    S = Subscheme(sat_all)  # (f): the multisaturation just computed
+    S = Subscheme(sat_all)  # (e) for t, (f) for the blocks just saturated
     fib = fiber(S, {"t": (1, 0)}, ctx, project=True)
-    # project to the last factor
-    support = Subscheme.saturated(
-        eliminate(
-            multisaturate(fib.ideal, ctx, blocks=["z", "x"]), ["z", "x"], ctx
-        ),
-        ctx,
-    )
+    # project to the last factor; (f): fiber ends in Subscheme.saturated
+    support = Subscheme.saturated(eliminate(fib.ideal, ["z", "x"], ctx), ctx)
     return FamilyEndResult(support=support, dominance_residual=residual, dominant=dominant)
 
 
@@ -775,7 +704,7 @@ def verify_operator_degree_split(
     p = cd.pivot
     cut = [x[i] for i in range(p, cd.nx)]
     S = Subscheme.saturated(img.ideal.with_extra(cut), ctx)
-    dgens = _delta_in_x(cd, delta_y, ring) + [cd.section_form(ring, "x", range(cd.nx))]
+    dgens = _delta_in_x(cd, delta_y, ring) + [cd.f_in(ring)]
     D = Subscheme.saturated(Ideal(ring, dgens), ctx)
     # (e): the generators of D are x-forms, so every combination lies in m_x
     res_scheme = Subscheme(saturate(S.ideal, D.ideal, ctx))

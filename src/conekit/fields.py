@@ -96,9 +96,6 @@ class Field:
         q = self.from_int(int(num)) * self.inv(self.from_int(int(den)))
         return q % self.p if self.p else q
 
-    def coeff_bits(self, a) -> int:
-        return 1
-
     def __eq__(self, other):
         return isinstance(other, Field) and self.name == other.name
 

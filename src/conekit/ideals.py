@@ -62,7 +62,7 @@ class Ideal:
         seen = set()
         uniq = []
         for g in clean:
-            g = g.monic(ring.order)
+            g = g.monic()
             if g not in seen:
                 seen.add(g)
                 uniq.append(g)
@@ -70,20 +70,9 @@ class Ideal:
         self.gens: Tuple[Poly, ...] = tuple(uniq)
         self._key = None
 
-    @classmethod
-    def of(cls, ring: PolyRing, *gens: Poly) -> "Ideal":
-        return cls(ring, gens)
-
     @property
     def ambient(self) -> AmbientSpace:
         return self.ring.ambient
-
-    def __add__(self, other: "Ideal") -> "Ideal":
-        if isinstance(other, Ideal):
-            if other.ring != self.ring:
-                raise IdealError("ideal sum across different rings")
-            return Ideal(self.ring, self.gens + other.gens)
-        return NotImplemented
 
     def with_extra(self, extra: Iterable[Poly]) -> "Ideal":
         return Ideal(self.ring, self.gens + tuple(extra))
@@ -265,13 +254,12 @@ def exact_div(p: Poly, g: Poly) -> Poly:
     if g.is_zero():
         raise IdealError("division by the zero polynomial")
     ring = p.ring
-    order = ring.order
-    lg_m, lg_c = g.lead(order)
+    lg_m, lg_c = g.lead()
     inv_lg = ring.field.inv(lg_c)
     q = ring.zero()
     rem = p
     while not rem.is_zero():
-        lm, lc = rem.lead(order)
+        lm, lc = rem.lead()
         if any(a < b for a, b in zip(lm, lg_m)):
             raise IdealError("polynomial is not divisible")
         qm = tuple(a - b for a, b in zip(lm, lg_m))
@@ -477,15 +465,13 @@ def radical_equal(a: Ideal, b: Ideal, ctx: EngineContext) -> bool:
 class HilbertData:
     """Summary of the total-degree Hilbert series of R/I.
 
-    krull_dim is the dimension of the affine multicone; dimension is the
-    product-projective dimension (krull_dim minus one per projective
-    block); degree is the numerator of the reduced series evaluated at 1.
+    dimension is the product-projective dimension (the Krull dimension of
+    R/I minus one per projective block); degree is the numerator of the
+    reduced series evaluated at 1.
     """
 
-    krull_dim: int
     dimension: int
     degree: int
-    numerator: Tuple[int, ...]
 
 
 def _poly1_mul(a: List[int], b: List[int]) -> List[int]:
@@ -596,9 +582,7 @@ def hilbert_data(ideal: Ideal, ctx: EngineContext) -> HilbertData:
         raise IdealError("hilbert data needs a homogeneous ideal")
     ring = ideal.ring
     nproj = len(ring.ambient.projective_blocks)
-    basis = ctx.groebner(ideal)
-    order = GrevlexOrder(ring.nvars)
-    leads = [b.lead(order)[0] for b in basis]
+    leads = [b.lead()[0] for b in ctx.groebner(ideal)]
     num = hilbert_numerator(leads, ring.nvars)
     # cancel (1 - t) factors against the (1-t)^nvars denominator
     cancels = 0
@@ -615,14 +599,9 @@ def hilbert_data(ideal: Ideal, ctx: EngineContext) -> HilbertData:
         num = _trim(q if q else [0])
         cancels += 1
     if num == [0]:
-        return HilbertData(krull_dim=-1, dimension=-1, degree=0, numerator=(0,))
+        return HilbertData(dimension=-1, degree=0)
     krull = ring.nvars - cancels  # remaining denominator power = Krull dim of R/I
-    return HilbertData(
-        krull_dim=krull,
-        dimension=krull - nproj,
-        degree=sum(num),
-        numerator=tuple(num),
-    )
+    return HilbertData(dimension=krull - nproj, degree=sum(num))
 
 
 # ---------------------------------------------------------------------------

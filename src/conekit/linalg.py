@@ -60,24 +60,3 @@ def kernel_basis(field: Field, rows: Matrix, ncols: int) -> List[List[object]]:
         basis.append(v)
     return basis
 
-
-def determinant(field: Field, rows: Matrix):
-    """Determinant by elimination (exact field, so plain)."""
-    p = field.p
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = field.one
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
-            return field.zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = field.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = _reduced_row([a - f * b for a, b in zip(m[i], m[c])], p)
-    return det % p if p else det

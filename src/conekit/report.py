@@ -310,12 +310,16 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
 def run_scenarios(configs: List[ScenarioConfig], jobs: int) -> List[dict]:
     """run_scenario over every config, in order; a pool of up to `jobs`
-    workers when there is more than one worker and more than one config."""
-    if jobs > 1 and len(configs) > 1:
-        import multiprocessing
+    workers when there is more than one worker and more than one config.
 
-        with multiprocessing.Pool(min(jobs, len(configs))) as pool:
-            return pool.map(run_scenario, configs)
+    A pool worker that dies (say, to the OOM killer) raises
+    concurrent.futures.process.BrokenProcessPool here rather than leaving
+    its task unanswered."""
+    if jobs > 1 and len(configs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(min(jobs, len(configs))) as pool:
+            return list(pool.map(run_scenario, configs))
     return [run_scenario(c) for c in configs]
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import comb
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -93,8 +92,8 @@ class AmbientSpace:
             raise RingError("cannot drop every block")
         return AmbientSpace(kept)
 
-    def extend(self, block: Block, front: bool = False) -> "AmbientSpace":
-        return AmbientSpace((block,) + self.blocks if front else self.blocks + (block,))
+    def extend(self, block: Block) -> "AmbientSpace":
+        return AmbientSpace(self.blocks + (block,))
 
     def index_map_to(self, other: "AmbientSpace") -> List[int]:
         """For each of our variables, its index in `other` (shared names required)."""
@@ -121,33 +120,20 @@ class AmbientSpace:
 
 
 class MonomialOrder:
-    """Total multiplicative well-order on monomials, via `heapkey`.
+    """Total multiplicative well-order on monomials: its `name` plus its
+    `grevlex_blocks`, which the Groebner engine packs into its order key.
 
-    A smaller heapkey means a larger monomial, so an ascending sort by
-    heapkey lists monomials from the largest down.  Every order here is a
-    product of grevlex orders: `grevlex_blocks` lists the blocks, most
-    significant first, each as variable indices from the first slot to the
-    last.  Monomials compare by total degree in the first block, then
-    reverse lexicographically on its slots (a smaller exponent in a later
-    slot is larger), then likewise on the next block.
+    Every order here is a product of grevlex orders: `grevlex_blocks` lists
+    the blocks, most significant first, each as variable indices from the
+    first slot to the last.  Monomials compare by total degree in the first
+    block, then reverse lexicographically on its slots (a smaller exponent
+    in a later slot is larger), then likewise on the next block.
     """
 
     name = "order"
 
-    def heapkey(self, m: Monomial):
-        raise NotImplementedError
-
     def grevlex_blocks(self, nvars: int) -> List[Tuple[int, ...]]:
         raise NotImplementedError
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return self.name
 
 
 class GrevlexOrder(MonomialOrder):
@@ -155,7 +141,9 @@ class GrevlexOrder(MonomialOrder):
         self.nvars = nvars
         self.name = "grevlex"
 
-    def heapkey(self, m):
+    @staticmethod
+    def heapkey(m):
+        """The print and lead order: a smaller key is a larger monomial."""
         return (-sum(m), m[::-1])
 
     def grevlex_blocks(self, nvars):
@@ -166,9 +154,6 @@ class LexOrder(MonomialOrder):
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.name = "lex"
-
-    def heapkey(self, m):
-        return tuple(-e for e in m)
 
     def grevlex_blocks(self, nvars):
         return [(i,) for i in range(nvars)]
@@ -190,10 +175,6 @@ class PermutedGrevlexOrder(MonomialOrder):
         perm = [i for i in range(nvars) if i != last] + [last]
         return cls(perm)
 
-    def heapkey(self, m):
-        pm = tuple(m[i] for i in self.perm)
-        return (-sum(pm), pm[::-1])
-
     def grevlex_blocks(self, nvars):
         return [self.perm]
 
@@ -203,18 +184,12 @@ class BlockElimOrder(MonomialOrder):
 
     def __init__(self, elim_indices: Sequence[int], nvars: int):
         self.elim = tuple(sorted(elim_indices))
-        self.rest = tuple(i for i in range(nvars) if i not in set(self.elim))
         self.name = "elim:%s" % ",".join(map(str, self.elim))
 
     @classmethod
     def for_blocks(cls, ambient: AmbientSpace, blocks: Iterable[str]) -> "BlockElimOrder":
         idx = [i for b in blocks for i in ambient.block_range(b)]
         return cls(idx, ambient.nvars)
-
-    def heapkey(self, m):
-        a = tuple(m[i] for i in self.elim)
-        b = tuple(m[i] for i in self.rest)
-        return (-sum(a), a[::-1], -sum(b), b[::-1])
 
     def grevlex_blocks(self, nvars):
         return [self.elim, tuple(i for i in range(nvars) if i not in self.elim)]
@@ -232,7 +207,6 @@ class PolyRing:
         self.field = field
         self.nvars = ambient.nvars
         self._zero_mono = (0,) * self.nvars
-        self.order = GrevlexOrder(self.nvars)  # canonical print/sort order
         self._key = (ambient.key(), field.name)
 
     def key(self):
@@ -403,12 +377,13 @@ class Poly:
     def sorted_terms(self) -> List[Tuple[Monomial, object]]:
         """Terms from the largest monomial down, in the ring's grevlex order."""
         terms = self.terms
-        return [(m, terms[m]) for m in sorted(terms, key=self.ring.order.heapkey)]
+        return [(m, terms[m]) for m in sorted(terms, key=GrevlexOrder.heapkey)]
 
-    def lead(self, order: MonomialOrder) -> Tuple[Monomial, object]:
+    def lead(self) -> Tuple[Monomial, object]:
+        """The grevlex-largest term."""
         if not self.terms:
             raise RingError("zero polynomial has no lead term")
-        m = min(self.terms, key=order.heapkey)
+        m = min(self.terms, key=GrevlexOrder.heapkey)
         return m, self.terms[m]
 
     def total_degree(self) -> int:
@@ -452,10 +427,11 @@ class Poly:
                 out[tuple(nm)] = c
         return Poly(self.ring, out)
 
-    def monic(self, order: MonomialOrder) -> "Poly":
+    def monic(self) -> "Poly":
+        """Scaled so that the grevlex lead coefficient is 1."""
         if not self.terms:
             return self
-        _, c = self.lead(order)
+        _, c = self.lead()
         if c == 1:
             return self
         return self.scale(self.ring.field.inv(c))
@@ -566,32 +542,6 @@ def substitute_all(polys: Sequence[Poly], assignment: Dict[str, object]) -> List
                 acc[mm] = acc.get(mm, 0) + c * pc
         out.append(Poly(ring, _reduced(acc, p)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# taylor shift in the affine t coordinate
-
-
-def taylor_shift_coefficient(p: Poly, tvar: str, r: int) -> Poly:
-    """Exact coefficient of (t-1)^r when p is expanded around t = 1.
-
-    `tvar` is the affine chart coordinate; p must be polynomial in it.
-    """
-    if r < 0:
-        raise RingError("negative expansion order")
-    ring = p.ring
-    i = ring.ambient.var_index(tvar)
-    # p(t) = sum_e c_e(x) t^e ;  substitute t = 1 + s, expand, read coeff of s^r
-    out: Dict[Monomial, object] = {}
-    for m, c in p.terms.items():
-        e = m[i]
-        if e < r:
-            continue
-        nm = list(m)
-        nm[i] = 0
-        key = tuple(nm)
-        out[key] = out.get(key, 0) + c * comb(e, r)
-    return ring.from_terms(out)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ class Subscheme:
     (b) one form in one projective block, (c) a linear ideal, (d) generic
         2x2 minors plus linear forms in other variables: each has prime
         associated primes that contain no m_b;
-    (e) I : c^∞ with c in m_b for every block of the ring;
+    (e) I : c^∞ with c in m_b, for each such block b;
     (f) blocks an earlier step already saturated (saturations commute).
     """
 
@@ -304,13 +304,14 @@ def join(A: Subscheme, B: Subscheme, ctx: EngineContext) -> Subscheme:
     gens += [g.map_vars(rename_q, ring) for g in B.ideal.gens]
     incidence = Ideal(ring, gens)
     # remove the degenerate locus where the two endpoint points coincide
-    # (there every x satisfies the minors), then the endpoint block cones
+    # (there every x satisfies the minors); (e): every combination of the
+    # minors lies in both m_p and m_q, so this also removes the endpoint
+    # block cones
     diag = Ideal(
         ring,
         [p[i] * q[j] - p[j] * q[i] for i in range(n) for j in range(i + 1, n)],
     )
     incidence = saturate(incidence, diag, ctx)
-    incidence = multisaturate(incidence, ctx, blocks=[p_name, q_name])
     out = eliminate(incidence, [p_name, q_name], ctx)
     target = PolyRing(amb, A.ring.field)
     return Subscheme.saturated(
@@ -337,7 +338,6 @@ class PointWitness:
 
     block: str
     coords: Tuple[int, ...]
-    field_name: str
 
 
 def _poly_divmod(a: List[int], m: List[int], p: int) -> Tuple[List[int], List[int]]:
@@ -539,5 +539,5 @@ def random_point(S: Subscheme, ctx: EngineContext) -> Optional[PointWitness]:
                 coords = tuple(
                     sol.get(amb.block_range(blk.name)[i], 0) for i in range(n)
                 )
-                return PointWitness(block=blk.name, coords=coords, field_name=F.name)
+                return PointWitness(block=blk.name, coords=coords)
     return None

@@ -1,0 +1,76 @@
+"""Test-only routes to results the library computes another way.
+
+Imported by the test modules (pytest puts this directory on sys.path).
+"""
+
+from math import comb
+
+from conekit import groebner
+from conekit.ring import AmbientSpace, RingError
+
+
+def packed_key(order, nvars):
+    """The Groebner engine's order key of an exponent tuple under `order`:
+    the packed monomial `m` as `m ^ EXP`, larger for larger monomials."""
+    layout = groebner._layout(order, nvars, 16)
+
+    def key(m):
+        return sum(e * w for e, w in zip(m, layout.weights)) ^ layout.exp
+
+    return key
+
+
+def lead_in(p, order):
+    """(monomial, coefficient) of p's largest term under `order`."""
+    m = max(p.terms, key=packed_key(order, p.ring.nvars))
+    return m, p.terms[m]
+
+
+def monic_in(p, order):
+    """p scaled so that its lead coefficient under `order` is 1."""
+    if not p.terms:
+        return p
+    return p.scale(p.ring.field.inv(lead_in(p, order)[1]))
+
+
+def taylor_shift_coefficient(p, tvar, r):
+    """Exact coefficient of (t-1)^r when p is expanded around t = 1.
+
+    `tvar` is the affine chart coordinate; p must be polynomial in it.
+    """
+    if r < 0:
+        raise RingError("negative expansion order")
+    ring = p.ring
+    i = ring.ambient.var_index(tvar)
+    # p(t) = sum_e c_e(x) t^e ;  substitute t = 1 + s, expand, read coeff of s^r
+    out = {}
+    for m, c in p.terms.items():
+        e = m[i]
+        if e < r:
+            continue
+        nm = list(m)
+        nm[i] = 0
+        key = tuple(nm)
+        out[key] = out.get(key, 0) + c * comb(e, r)
+    return ring.from_terms(out)
+
+
+def expansion_pencil_taylor(cd):
+    """Oracle route to cone.expansion_pencil: the literal (t-1)-coefficient
+    of f(twist(x)) pushed through the decomposition, z-cleared.
+
+    Returned in the affine (t, w, x) ring, for cross-checking
+    expansion_pencil up to a unit and powers of the twisted hyperplane
+    combination.
+    """
+    amb = AmbientSpace.product(("t", 1), ("w", 1), ("x", cd.nx), affine=("t", "w"))
+    ring = cd.ring(amb)
+    t = ring.var("t0")
+    w = ring.var("w0")
+    x = ring.block_vars("x")
+    p = cd.pivot
+    # the direct coordinate images of the twist at affine (t, w)
+    sub = {"x0": x[0] - t * x[p], ("x%d" % p): t * w * x[p]}
+    for i in range(p + 1, cd.nx):
+        sub["x%d" % i] = t * x[i]
+    return taylor_shift_coefficient(cd.f_in(ring).substitute(sub), "t0", 1)

@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -666,13 +668,48 @@ def test_cli_verify_jobs_parallel(tmp_path, capsys):
     assert blobs.count('"artifact"') == 2
 
 
+# `conekit verify` with the run_scenario of the scenario at seed 1 replaced
+# by one that SIGKILLs its process, as the OOM killer would
+KILLED_WORKER_RUN = """
+import os, signal, sys
+from conekit import cli, report
+
+real_run_scenario = report.run_scenario
+
+def dying_run_scenario(cfg):
+    if cfg.seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_run_scenario(cfg)
+
+report.run_scenario = dying_run_scenario
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_verify_killed_pool_worker_exit_3(tmp_path):
+    # a multiprocessing.Pool never answers the task of a worker that died,
+    # so the run used to hang; the pool now reports the death
+    argv = ["verify", "--jobs", "2"]
+    for seed in (0, 1):
+        path = tmp_path / ("s%d.json" % seed)
+        path.write_text(json.dumps({"preset": "quadric-s2-h1", "checks": ["expansion-g"],
+                                    "seed": seed}))
+        argv += ["--scenario", str(path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cone.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER_RUN] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("internal error:") == 1
+
+
 @pytest.mark.parametrize("jobs,n_configs", [(1, 2), (3, 1)])
 def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
     # one worker, or one scenario, runs in this process
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr("multiprocessing.Pool", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % DEFAULT_PRIME,
                          checks=("expansion-g",), seed=0)
     reports = report.run_scenarios([cfg] * n_configs, jobs)
@@ -680,7 +717,7 @@ def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
 
 
 def test_cli_verify_jobs_forks_inside_pool_workers(capsys, two_cores):
-    # pool workers are daemonic, and each forks its second-prime process
+    # each pool worker forks its second-prime process
     argv = ["verify", "--scenario", "quadric-s2-h1", "--scenario", "cubic-3f-h2",
             "--checks", "expansion-g,prop-2-5"]
     assert main(argv + ["--jobs", "1"]) == 0

@@ -1,4 +1,4 @@
-"""Cone construction layer: twists, graph schemes, pencils, splits."""
+"""Cone construction layer: graph schemes, pencils, splits."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from conekit.ideals import EngineContext, Ideal, contains, ideal_equal, multisat
 from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
 from conekit.scheme import Subscheme
+from oracles import expansion_pencil_taylor
 
 CFG = FieldConfig.parse("Fp:%d" % DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -38,36 +39,6 @@ def test_cone_data_validation():
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
-def test_twist_determinant_value(name):
-    # det of the twist must be a unit times t^h * z for all valid (t, z)
-    cd = cone.preset(name, CFG)
-    for t in (1, 2, 5, 1234):
-        for z in (1, 3, 77):
-            det = cone.twist_determinant(cd, t, z)
-            expect = pow(t, cd.h, DEFAULT_PRIME) * z % DEFAULT_PRIME
-            assert det in (expect, -expect % DEFAULT_PRIME)
-
-
-def test_twist_undefined_at_degenerate_parameters():
-    cd = cone.preset("quadric-s2-h1", CFG)
-    with pytest.raises(cone.ConeDataError):
-        cone.twist_matrix(cd, 0, 1)
-    with pytest.raises(cone.ConeDataError):
-        cone.twist_matrix(cd, 1, 0)
-
-
-def test_twist_fixes_untwisted_coordinates():
-    cd = cone.preset("cubic-3f-h2", CFG)
-    mat = cone.twist_matrix(cd, 7, 3)
-    for i in range(cd.pivot):
-        for j in range(cd.pivot):
-            want = FP.one if i == j else FP.zero
-            if (i, j) == (0, cd.pivot):
-                continue
-            assert mat[i][j] == want
-
-
-@pytest.mark.parametrize("name", ALL_PRESETS)
 def test_graph_equations_match_map_closure(name):
     # the pinned equation system equals the independently computed
     # rational-map graph closure after saturation
@@ -91,7 +62,7 @@ def test_pencil_matches_taylor_oracle(name):
     # minus w times the literal first Taylor coefficient
     cd = cone.preset(name, CFG)
     rep = cone.expansion_pencil(cd)
-    T = cone.expansion_pencil_taylor(cd)
+    T = expansion_pencil_taylor(cd)
     ring = T.ring
     w = ring.var("w0")
     x = ring.block_vars("x")

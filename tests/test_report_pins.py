@@ -59,6 +59,7 @@ PINNED_HEAVY = {
 }
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("prime", sorted(PINNED_HEAVY))
 def test_heavy_quadric_report_bytes_pinned(prime):
     cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % prime,
