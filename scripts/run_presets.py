@@ -3,6 +3,7 @@
 
 Writes one report per (preset, prime) under --out-dir and prints a status
 matrix.  Skips nothing: FAIL and INCONCLUSIVE rows are part of the record.
+Exits 1 when a check reports FAIL, and 3 when a --jobs worker dies.
 
 Usage:
     python3 scripts/run_presets.py [--out-dir reports] [--seed N]
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from conekit.checks import CHECK_ORDER
 from conekit.cone import PRESETS
@@ -50,7 +52,11 @@ def main(argv=None):
 
     os.makedirs(args.out_dir, exist_ok=True)
     configs = build_configs(args)
-    reports = run_scenarios(configs, args.jobs)
+    try:
+        reports = run_scenarios(configs, args.jobs)
+    except BrokenProcessPool as exc:
+        print("internal error: a scenario worker died: %s" % exc, file=sys.stderr)
+        return 3
 
     width = max(len(c["name"]) for r in reports for c in r["checks"])
     for cfg, rep in zip(configs, reports):

@@ -1,6 +1,6 @@
 """Geometry vocabulary over the engine: subschemes of products of
-projective spaces, graph closures of rational maps, fibers, component
-certification, multiplicities, joins, and point search.
+projective spaces, graph closures of rational maps, fibers, unions,
+multiplicities, joins, and point search.
 """
 
 from __future__ import annotations
@@ -14,14 +14,12 @@ from .ideals import (
     EngineContext,
     HilbertData,
     Ideal,
-    contains_ideal,
     eliminate,
     fresh_block_name,
     hilbert_data,
     intersect,
     multisaturate,
     radical_equal,
-    radical_member,
     saturate,
 )
 from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, substitute_all
@@ -206,25 +204,6 @@ def fiber(
 
 # ---------------------------------------------------------------------------
 # components and multiplicities
-
-
-def is_component(S: Subscheme, C: Subscheme, ctx: EngineContext) -> bool:
-    """True when V(C) is a maximal-dimensional piece of V(S) inside V(C).
-
-    Certified by: V(C) ⊆ V(S) (radical membership of generators),
-    saturation by C actually removes something, and what is removed has
-    the dimension of C itself.
-    """
-    if S.ambient != C.ambient:
-        raise SchemeError("component test across different ambients")
-    for g in S.ideal.gens:
-        if not radical_member(g, C.ideal, ctx):
-            return False
-    kept = saturate(S.ideal, C.ideal, ctx)
-    if contains_ideal(S.ideal, kept, ctx):
-        return False  # saturation removed nothing
-    removed = saturate(S.ideal, kept, ctx) if kept.gens else S.ideal
-    return hilbert_data(removed, ctx).dimension == C.dimension(ctx)
 
 
 def union_certify(S: Subscheme, parts: Sequence[Subscheme], ctx: EngineContext) -> bool:

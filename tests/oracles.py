@@ -6,7 +6,9 @@ Imported by the test modules (pytest puts this directory on sys.path).
 from math import comb
 
 from conekit import groebner
+from conekit.ideals import contains_ideal, hilbert_data, radical_member, saturate
 from conekit.ring import AmbientSpace, RingError
+from conekit.scheme import SchemeError
 
 
 def packed_key(order, nvars):
@@ -74,3 +76,23 @@ def expansion_pencil_taylor(cd):
     for i in range(p + 1, cd.nx):
         sub["x%d" % i] = t * x[i]
     return taylor_shift_coefficient(cd.f_in(ring).substitute(sub), "t0", 1)
+
+
+def is_component(S, C, ctx):
+    """True when V(C) is a maximal-dimensional piece of V(S) inside V(C).
+
+    Certified by: V(C) ⊆ V(S) (radical membership of generators),
+    saturation by C actually removes something, and what is removed has
+    the dimension of C itself.  The oracle for prop-2-1's degree
+    certificate (cone.verify_diagonal_is_component).
+    """
+    if S.ambient != C.ambient:
+        raise SchemeError("component test across different ambients")
+    for g in S.ideal.gens:
+        if not radical_member(g, C.ideal, ctx):
+            return False
+    kept = saturate(S.ideal, C.ideal, ctx)
+    if contains_ideal(S.ideal, kept, ctx):
+        return False  # saturation removed nothing
+    removed = saturate(S.ideal, kept, ctx) if kept.gens else S.ideal
+    return hilbert_data(removed, ctx).dimension == C.dimension(ctx)

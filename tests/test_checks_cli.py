@@ -703,6 +703,39 @@ def test_cli_verify_killed_pool_worker_exit_3(tmp_path):
     assert proc.stderr.count("internal error:") == 1
 
 
+RUN_PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_presets.py")
+
+KILLED_PRESETS_WORKER_RUN = """
+import importlib.util, os, signal, sys
+from conekit import report
+
+real_run_scenario = report.run_scenario
+
+def dying_run_scenario(cfg):
+    if (cfg.preset_name, cfg.field) == ("cubic-3f-h2", "Fp:32003"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_run_scenario(cfg)
+
+report.run_scenario = dying_run_scenario
+spec = importlib.util.spec_from_file_location("run_presets", sys.argv[1])
+run_presets = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_presets)
+sys.exit(run_presets.main(sys.argv[2:]))
+"""
+
+
+def test_run_presets_killed_pool_worker_exit_3(tmp_path):
+    # exit 1 means a FAIL there, so a dead worker must not end in a traceback
+    argv = [RUN_PRESETS, "--jobs", "2", "--checks", "expansion-g", "--out-dir", str(tmp_path)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cone.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", KILLED_PRESETS_WORKER_RUN] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("internal error:") == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("jobs,n_configs", [(1, 2), (3, 1)])
 def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
     # one worker, or one scenario, runs in this process
@@ -731,6 +764,11 @@ def test_cli_explain(capsys):
     assert main(["explain", "digamma"]) == 0
     out = capsys.readouterr().out
     assert "3.10" in out and "two reduced components of dimension" in out
+    assert main(["explain", "prop-2-1"]) == 0
+    out = capsys.readouterr().out
+    assert "deg S = deg C" in out and "certifies X smooth" in out and "randomized: no" in out
+    assert main(["explain", "prop-2-6"]) == 0
+    assert "(sigma + delta) : K^inf" in capsys.readouterr().out
     assert main(["explain", "w-covering"]) == 0
     assert "covering map of degree deg(X)" in capsys.readouterr().out
     assert main(["explain", "unknown"]) == 2

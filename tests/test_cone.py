@@ -10,8 +10,9 @@ from conekit.fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField
 from conekit.ideals import EngineContext, Ideal, contains, ideal_equal, multisaturate
 from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
-from conekit.scheme import Subscheme
-from oracles import expansion_pencil_taylor
+from conekit.scheme import Subscheme, fiber
+import oracles
+from oracles import expansion_pencil_taylor, is_component
 
 CFG = FieldConfig.parse("Fp:%d" % DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -298,10 +299,42 @@ def test_directly_wrapped_subschemes_are_saturated(monkeypatch):
         assert ideal_equal(multisaturate(ideal, CTX), ideal, CTX), ideal
 
 
-def test_theta_is_saturated_on_quadric():
-    schemes = cone.ConeSchemes(cone.preset("quadric-s2-h1", CFG), CTX)
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+def test_sigma_routes_match_theta_on_quadric(p):
+    # prop-2-1 and prop-2-6 start from the unsaturated sigma; on quadric the
+    # eager routes through sigma's saturation and theta still finish, so
+    # each result is compared with theirs
+    cd = cone.preset("quadric-s2-h1", FieldConfig.parse("Fp:%d" % p))
+    ctx = EngineContext(seed=0)
+    schemes = cone.ConeSchemes(cd, ctx)
     theta = schemes.theta.ideal
-    assert ideal_equal(multisaturate(theta, CTX), theta, CTX)
+    assert ideal_equal(multisaturate(theta, ctx), theta, ctx)
+    lazy = cone.sigma_fiber(schemes)
+    eager = fiber(Subscheme.saturated(schemes.sigma, ctx), {"t": (1, 1)}, ctx)
+    assert ideal_equal(lazy.ideal, eager.ideal, ctx)
+    fiber_pair, diagonal_pair = cone.verify_diagonal_is_component(schemes)
+    assert fiber_pair == diagonal_pair == (3, 6)
+    assert is_component(lazy, schemes.diagonal_part, ctx)
+    # cone_family_end from theta: a collection whose sigma is theta
+    delta = checks._point_delta_on_x(cd, ctx)
+    from_theta = cone.ConeSchemes(cd, ctx)
+    from_theta._cache["sigma"] = theta
+    end = cone.cone_family_end(schemes, delta).support.ideal
+    assert ideal_equal(end, cone.cone_family_end(from_theta, delta).support.ideal, ctx)
+
+
+def test_heavy_checks_reach_neither_theta_nor_is_component(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a check reached theta or is_component")
+
+    monkeypatch.setattr(cone.ConeSchemes, "theta", property(unreachable))
+    monkeypatch.setattr(oracles, "is_component", unreachable)
+    assert not hasattr(cone, "theta_removal_idempotent")
+    cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % DEFAULT_PRIME,
+                         checks=("prop-2-1", "prop-2-6"), seed=0)
+    rep = run_scenario(cfg)
+    assert [(c["name"], c["status"]) for c in rep["checks"]] == [
+        ("prop-2-1", "PASS"), ("prop-2-6", "PASS")]
 
 
 def test_diagonal_component_ideal_is_not_saturated():

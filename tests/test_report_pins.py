@@ -50,19 +50,41 @@ def test_light_report_bytes_pinned_over_rationals(preset):
     assert digest == PINNED_Q[preset]
 
 
-# the heavy checks on quadric-s2-h1 at both standard primes, seed 0: they
-# build theta and call is_component and cone_family_end, which the light
-# checks do not (about 3 s each)
+# the heavy checks prop-2-1 and prop-2-6 at both standard primes, seed 0:
+# they cut sigma at t = 1 (prop-2-1's degree certificate) and run
+# cone_family_end, which the light checks do not (under 1 s each on
+# quadric-s2-h1)
 PINNED_HEAVY = {
     DEFAULT_PRIME: "abf3da11b9f89353ca57889b95c0b7546627f40f5a2f304172b75798bf0c1ba8",
     SECOND_PRIME: "4884cea01da3dc87ae7e9b3d0806367c3b6ff43e284b1f0261c2ea25e9d1cb9f",
 }
 
+PINNED_HEAVY_CUBIC = {
+    ("cubic-3f-h1", DEFAULT_PRIME): "52efd8fbaec31d4083f9da05dc50924ae7bba1ed647f02c399b045797678e7ed",
+    ("cubic-3f-h1", SECOND_PRIME): "3ca89535f58a9c25ffd1cd6696735642b57d9a09f6f34fdfb047c08dd829b48b",
+    ("cubic-3f-h2", DEFAULT_PRIME): "a08d305ee60488ac1dfcfc8e16fca4f565c513ab363ec180b4e5b735091aa64f",
+    ("cubic-3f-h2", SECOND_PRIME): "411b10490f65ff86c866067d50f7ea8acb8fbdd161559b0bcb62fd8314d6af40",
+}
+
+
+def heavy_report(preset, prime):
+    cfg = ScenarioConfig(preset_name=preset, field="Fp:%d" % prime,
+                         checks=("prop-2-1", "prop-2-6"), seed=0)
+    return run_scenario(cfg)
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("prime", sorted(PINNED_HEAVY))
 def test_heavy_quadric_report_bytes_pinned(prime):
-    cfg = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:%d" % prime,
-                         checks=("prop-2-1", "prop-2-6"), seed=0)
-    digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
+    digest = hashlib.sha256(report_bytes(heavy_report("quadric-s2-h1", prime))).hexdigest()
     assert digest == PINNED_HEAVY[prime]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset,prime", sorted(PINNED_HEAVY_CUBIC))
+def test_heavy_cubic_report_bytes_pinned(preset, prime):
+    # both checks stopped at the reduction-step cap (INCONCLUSIVE) while they
+    # went through theta
+    rep = heavy_report(preset, prime)
+    assert [c["status"] for c in rep["checks"]] == ["PASS", "PASS"]
+    assert hashlib.sha256(report_bytes(rep)).hexdigest() == PINNED_HEAVY_CUBIC[(preset, prime)]

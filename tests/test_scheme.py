@@ -15,12 +15,12 @@ from conekit.scheme import (
     component_multiplicity,
     fiber,
     graph_closure,
-    is_component,
     join,
     random_point,
     union_certify,
     _univariate_roots,
 )
+from oracles import is_component
 
 FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
