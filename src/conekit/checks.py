@@ -43,7 +43,7 @@ from .fields import DEFAULT_PRIME, FieldConfig, SECOND_PRIME
 from .groebner import ResourceCapExceeded
 from .ideals import EngineContext, Ideal, radical_member
 from .ring import poly_str
-from .scheme import Subscheme
+from .scheme import PointWitness, Subscheme, point_forms, random_point
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -90,10 +90,19 @@ def _gens_text(ideal: Ideal) -> List[str]:
 # delta construction per check
 
 
-def _point_delta_on_x(cd: ConeData, ctx: EngineContext) -> Optional[Ideal]:
+def _point_delta_on_x(cd: ConeData, ctx: EngineContext) -> Optional[PointWitness]:
     ring = cd.ring(cd.ambient_x())
-    X = Subscheme(Ideal(ring, [cd.f_in(ring)]))  # (b)
-    return delta_point_on(X, ctx)
+    return random_point(Subscheme(Ideal(ring, [cd.f_in(ring)])), ctx)  # (b)
+
+
+def _no_delta(kind: str, where: str) -> CheckOutcome:
+    return CheckOutcome(INCONCLUSIVE, witnesses={"note": "no rational %s found %s" % (kind, where)})
+
+
+def _point_delta_text(cd: ConeData, pt: PointWitness) -> List[str]:
+    """The `delta` witness of a point delta: its point forms in the x ring."""
+    ring = cd.ring(cd.ambient_x())
+    return _gens_text(Ideal(ring, point_forms(ring, pt.block, pt.coords)))
 
 
 def _section_delta(cd: ConeData, ctx: EngineContext) -> Tuple[Optional[Ideal], str]:
@@ -185,15 +194,13 @@ def check_w_covering(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
 
 
 def check_image_linear_section(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
-    delta = _point_delta_on_x(cd, ctx)
-    if delta is None:
-        return CheckOutcome(
-            INCONCLUSIVE, witnesses={"note": "no rational point found on the hypersurface"}
-        )
+    pt = _point_delta_on_x(cd, ctx)
+    if pt is None:
+        return _no_delta("point", "on the hypersurface")
     schemes = ConeSchemes(cd, ctx)
-    ok, img = verify_image_in_linear_section(schemes, delta, cd.n)
+    ok, img = verify_image_in_linear_section(schemes, pt.coords, cd.n)
     witnesses = {
-        "delta": _gens_text(delta),
+        "delta": _point_delta_text(cd, pt),
         "image-ideal": _gens_text(img),
         "required-codimension": cd.n,
     }
@@ -206,15 +213,13 @@ def check_family_end(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         return CheckOutcome(
             NOT_APPLICABLE, notes=["hypothesis dim(delta) < n-h admits no delta"]
         )
-    delta = _point_delta_on_x(cd, ctx)
-    if delta is None:
-        return CheckOutcome(
-            INCONCLUSIVE, witnesses={"note": "no rational point found on the hypersurface"}
-        )
+    pt = _point_delta_on_x(cd, ctx)
+    if pt is None:
+        return _no_delta("point", "on the hypersurface")
     schemes = ConeSchemes(cd, ctx)
-    result = cone_family_end(schemes, delta)
+    result = cone_family_end(schemes, pt.coords)
     witnesses: Dict[str, object] = {
-        "delta": _gens_text(delta),
+        "delta": _point_delta_text(cd, pt),
         "end-support": _gens_text(result.support.ideal),
     }
     if not result.dominant:
@@ -253,10 +258,7 @@ def check_split_components(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
 def check_operator_degree(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
     delta, kind = _section_delta(cd, ctx)
     if delta is None:
-        return CheckOutcome(
-            INCONCLUSIVE,
-            witnesses={"note": "no rational %s found in the plane section" % kind},
-        )
+        return _no_delta(kind, "in the plane section")
     schemes = ConeSchemes(cd, ctx)
     rep = verify_operator_degree_split(schemes, delta)
     expected = cd.f_deg()
@@ -306,10 +308,7 @@ def check_join_support(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         )
     delta, kind = _section_delta(cd, ctx)
     if delta is None:
-        return CheckOutcome(
-            INCONCLUSIVE,
-            witnesses={"note": "no rational %s found in the plane section" % kind},
-        )
+        return _no_delta(kind, "in the plane section")
     same, img, sliced = join_support_matches_operator(ConeSchemes(cd, ctx), delta)
     witnesses = {
         "delta": _gens_text(delta),
@@ -341,11 +340,11 @@ _register(
     "Proposition 2.1, 'whose support contains'",
     "At parameter value 1 the pulled-back family contains the twisted "
     "diagonal C as its only top-dimensional component, with multiplicity 1. "
-    "With S = sigma = omega + f(x) + f(y) cut at t = 1 and saturated: PASS iff "
-    "V(C) lies in V(S), dim S = dim C and deg S = deg C, as C is irreducible "
-    "(the genericity gate certifies X smooth); FAIL when V(C) is not in V(S), "
-    "else INCONCLUSIVE. The cut's block saturations draw random forms (Monte "
-    "Carlo), though the check is not re-run at a second prime.",
+    "S = sigma = omega + f(x) + f(y) and C, the diagonal part, are set to t = 1 (exact) "
+    "and saturated: PASS iff V(C) lies in V(S), dim S = dim C and deg S = deg C, as C "
+    "is irreducible (the genericity gate certifies X smooth); FAIL when V(C) is not "
+    "in V(S), else INCONCLUSIVE. The z, x and y saturations (and omega's) draw random "
+    "forms (Monte Carlo), though the check is not re-run at a second prime.",
     False,
     check_diagonal_component,
 )
@@ -377,7 +376,7 @@ _register(
     "prop-2-5",
     "Proposition 2.5 and equation (2.40), 'is a multiple of a plane section class'",
     "The image of a cycle under the r=0 correspondence is supported in a "
-    "linear section of matching codimension.",
+    "linear section of matching codimension; the image of a point p is E0 at x = p (exact).",
     True,
     check_image_linear_section,
     needs_points=True,
@@ -389,7 +388,10 @@ _register(
     "inside the codimension-h plane section. The family (theta + delta) : K^inf, "
     "theta = sigma : (M*diag)^inf with M the product of the blocks' irrelevant "
     "ideals and K = t1*(t0 - t1)*t0*m_z*m_x*m_y, is computed as "
-    "(sigma + delta) : K^inf, the same ideal since K lies in rad(M*diag).",
+    "(sigma + delta) : K^inf, the same ideal since K lies in rad(M*diag), then as "
+    "(sigma(p) : K'^inf) + delta, sigma(p) = sigma at x = p, K' = t1*(t0 - t1)*t0*m_z*m_y. "
+    "Exact: setting x = p and t = 0, the divide-outs by t1, t0 - t1 and t0. Monte "
+    "Carlo: the z and y saturations (and omega's), cross-checked at a second prime.",
     True,
     check_family_end,
     needs_points=True,

@@ -36,6 +36,7 @@ from .scheme import (
     RationalMapSpec,
     SchemeError,
     Subscheme,
+    at_point,
     component_multiplicity,
     fiber,
     graph_closure,
@@ -433,26 +434,24 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
     """The graph's fiber over (t, z) = (1, unsteady), projected to x x y,
     equals the r=0 fiber-product scheme."""
     cd, ctx = schemes.cd, schemes.ctx
-    fib = fiber(schemes.omega, {"t": (1, 1), "z": (1, 0)}, ctx, project=True)
-    e0 = build_fiber_product_scheme(cd, 0)
-    target = Ideal(fib.ring, [fib.ring.convert(g) for g in e0.ideal.gens])
-    return ideal_equal(fib.ideal, target, ctx)
+    fib = fiber(schemes.omega, {"t": (1, 1), "z": (1, 0)}, ctx)
+    return ideal_equal(fib.ideal, build_fiber_product_scheme(cd, 0).ideal, ctx)
 
 
 def sigma_fiber(schemes: ConeSchemes) -> Subscheme:
-    """sigma cut at t = 1 and saturated, as fiber saturates its cut."""
-    sigma = schemes.sigma
-    return Subscheme.saturated(sigma.with_extra(point_forms(sigma.ring, "t", (1, 1))), schemes.ctx)
+    """sigma at t = 1, in z x x x y, saturated (z, x and y by random forms)."""
+    return Subscheme.saturated(at_point(schemes.sigma, {"t": (1, 1)}), schemes.ctx)
 
 
 def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[int, int], ...]]:
-    """(dim, deg) of S, the t = 1 fibre of sigma, and of the diagonal part
-    C; None when V(C) is not in V(S).  C is irreducible, as the genericity
-    gate certifies X smooth, so equal pairs certify C as the only
-    top-dimensional component of S, with multiplicity 1: deg S sums length
-    times degree over the top-dimensional components."""
+    """(dim, deg) of S and C, the t = 1 fibres of sigma and of the diagonal
+    part (as for the cuts by t0 - t1: R/(J + (t0 - t1)) is (R'/J(1))[t0]);
+    None when V(C) is not in V(S).  C is irreducible, as the genericity gate
+    certifies X smooth, so equal pairs certify C as the only top-dimensional
+    component of S, with multiplicity 1: deg S sums length times degree over
+    the top-dimensional components."""
     ctx = schemes.ctx
-    S, C = sigma_fiber(schemes), schemes.diagonal_part
+    S, C = sigma_fiber(schemes), fiber(schemes.diagonal_part, {"t": (1, 1)}, ctx)
     if not radical_contains_ideal(C.ideal, S.ideal, ctx):
         return None
     return tuple((T.dimension(ctx), T.degree(ctx)) for T in (S, C))
@@ -519,7 +518,7 @@ def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[Coverin
         if not any(image):
             continue  # the sample is the centre itself
         graph = graph_closure(RationalMapSpec(X, twisted.target_block, forms), ctx)
-        hd = fiber(graph, {"y": image}, ctx, project=True).hilbert(ctx)
+        hd = fiber(graph, {"y": image}, ctx).hilbert(ctx)
         if hd.dimension != 0:
             continue  # degenerate sample: fiber not finite
         counts.append(hd.degree)
@@ -537,34 +536,35 @@ class FamilyEndResult:
     dominant: bool
 
 
-def cone_family_end(schemes: ConeSchemes, delta_x: Ideal) -> FamilyEndResult:
-    """End of the one-parameter family through delta: intersect the moved
-    family with delta on the source copy, keep only the part dominating
-    the t-line, specialize t to 0, project to the target copy.
+def cone_family_end(schemes: ConeSchemes, point: Sequence) -> FamilyEndResult:
+    """End of the one-parameter family through delta, the point p = `point`
+    of the source copy: intersect the moved family with delta, keep only the
+    part dominating the t-line, specialize t to 0, project to the target copy.
 
     The moved family (theta + delta) : K^∞, K = t1·(t0 - t1)·t0·m_z·m_x·m_y,
-    is computed as (sigma + delta) : K^∞, the same ideal: with M the product
-    of the blocks' irrelevant ideals, sigma ⊆ theta ⊆ sigma : (M·diag)^∞,
-    and K ⊆ √(M·diag) since t0 - t1 ∈ diag and K lies in every m_b.
+    equals (sigma + delta) : K^∞: with M the product of the blocks'
+    irrelevant ideals, sigma ⊆ theta ⊆ sigma : (M·diag)^∞, and
+    K ⊆ √(M·diag) since t0 - t1 ∈ diag and K lies in every m_b.  That is
+    (sigma(p) : K'^∞) + delta, K' = t1·(t0 - t1)·t0·m_z·m_y, sigma(p) =
+    at_point(sigma, x = p) in R' = t x z x y: modulo delta each x_i is a
+    multiple of x_k (p_k != 0), a nonzerodivisor on (R'/sigma(p))[x_k].  So
+    the x block never enters the computation.
     """
     ctx = schemes.ctx
-    ring = schemes.sigma.ring
-    moved = schemes.sigma.with_extra(
-        [ring.convert(g) for g in delta_x.gens]
-    )
-    t0, t1 = ring.block_vars("t")
+    moved = at_point(schemes.sigma, {"x": point})
+    t0, t1 = moved.ring.block_vars("t")
     # drop the parts sitting inside the three distinguished parameter fibers;
     # (e): t1, t0 - t1 and t0 lie in m_t, so what is left is m_t-saturated
     for form in (t1, t0 - t1, t0):
         moved = saturate_by_poly(moved, form, ctx)
     # certify what is left dominates the parameter line
-    sat_all = multisaturate(moved, ctx, blocks=["z", "x", "y"])
-    residual = eliminate(sat_all, ["z", "x", "y"], ctx)
+    sat_all = multisaturate(moved, ctx, blocks=["z", "y"])
+    residual = eliminate(sat_all, ["z", "y"], ctx)
     dominant = not residual.gens
     S = Subscheme(sat_all)  # (e) for t, (f) for the blocks just saturated
-    fib = fiber(S, {"t": (1, 0)}, ctx, project=True)
+    fib = fiber(S, {"t": (1, 0)}, ctx)
     # project to the last factor; (f): fiber ends in Subscheme.saturated
-    support = Subscheme.saturated(eliminate(fib.ideal, ["z", "x"], ctx), ctx)
+    support = Subscheme.saturated(eliminate(fib.ideal, ["z"], ctx), ctx)
     return FamilyEndResult(support=support, dominance_residual=residual, dominant=dominant)
 
 
@@ -601,7 +601,7 @@ def pushforward_degree(gamma: Subscheme, image: Subscheme, ctx: EngineContext) -
         pt = random_point(image, probe_ctx)
         if pt is None:
             continue
-        hd = fiber(gamma, {"x": pt.coords}, ctx, project=True).hilbert(ctx)
+        hd = fiber(gamma, {"x": pt.coords}, ctx).hilbert(ctx)
         if hd.dimension == 0:
             lengths.append(hd.degree)
     return min(lengths) if lengths else None
@@ -738,17 +738,15 @@ def verify_operator_degree_split(
 
 
 def verify_image_in_linear_section(
-    schemes: ConeSchemes, delta_x: Ideal, codim: int
+    schemes: ConeSchemes, point: Sequence, codim: int
 ) -> Tuple[bool, Ideal]:
-    """Push delta through the r=0 correspondence and certify the image's
-    support sits inside a linear section of matching codimension."""
-    cd, ctx = schemes.cd, schemes.ctx
-    e0 = build_fiber_product_scheme(cd, 0)
-    ring = e0.ring
-    combined = e0.ideal.with_extra([ring.convert(g) for g in delta_x.gens])
-    sat = multisaturate(combined, ctx, blocks=["x"])
-    img = eliminate(sat, ["x"], ctx)
-    forms = linear_forms_in(img, "y", ctx)
+    """Push delta, the point `point` of the source copy, through the r=0
+    correspondence E0 and certify the image's support sits inside a linear
+    section of matching codimension.  The image, (E0 + delta) : m_x^∞ with
+    x eliminated, is E0 at x = point (see at_point), as its reduced basis."""
+    img = at_point(build_fiber_product_scheme(schemes.cd, 0).ideal, {"x": point})
+    img = Ideal(img.ring, schemes.ctx.groebner(img))
+    forms = linear_forms_in(img, "y", schemes.ctx)
     return len(forms) >= codim, img
 
 

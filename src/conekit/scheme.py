@@ -1,6 +1,7 @@
 """Geometry vocabulary over the engine: subschemes of products of
 projective spaces, graph closures of rational maps, fibers, unions,
-multiplicities, joins, and point search.
+multiplicities, joins, and point search.  A fibre over a point substitutes
+the point (`at_point`) rather than cutting, saturating and eliminating.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class Subscheme:
     of every projective block b; Hilbert data is cached on the instance.
     `Subscheme(I)` wraps I as it is.  `Subscheme.saturated` saturates every
     block first, and is called only where an operation can leave irrelevant
-    components: explicit equation systems, sums, cuts and projections.
+    components: equation systems, sums, cuts, projections, point fibres.
     Every other site wraps directly and names its case (I : c^∞ is
     m_b-saturated when c lies in m_b; Cox, Little & O'Shea, ch. 4 §4):
     (a) a graph closure I : c^∞, c a combination of the forms: c lies in m_b
@@ -151,55 +152,56 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
 # fibers
 
 
+def _point_values(ring: PolyRing, block: str, coords: Sequence) -> List:
+    """The coordinates of a point of the named block as field elements; a
+    wrong length or an all-zero projective point raises SchemeError."""
+    blk = ring.ambient.block(block)
+    vals = [ring.field.from_int(c) if isinstance(c, int) else c for c in coords]
+    if len(vals) != blk.size:
+        raise SchemeError("point has %d coordinates, block %r has %d" % (len(vals), block, blk.size))
+    if blk.projective and not any(vals):
+        raise SchemeError("all-zero projective point")
+    return vals
+
+
 def point_forms(ring: PolyRing, block: str, coords: Sequence) -> List[Poly]:
     """Linear forms cutting out one point of the named block."""
-    F = ring.field
-    vals = [F.from_int(c) if isinstance(c, int) else c for c in coords]
-    idx = list(ring.ambient.block_range(block))
-    if len(vals) != len(idx):
-        raise SchemeError("point has %d coordinates, block %r has %d" % (len(vals), block, len(idx)))
-    blk = ring.ambient.block(block)
+    vals = _point_values(ring, block, coords)
+    v = ring.block_vars(block)
+    if not ring.ambient.block(block).projective:
+        return [v[a] - ring.const(vals[a]) for a in range(len(v))]
     out = []
-    if blk.projective:
-        if not any(vals):
-            raise SchemeError("all-zero projective point")
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                g = ring.var_by_index(idx[a]).scale(vals[b]) - ring.var_by_index(idx[b]).scale(vals[a])
-                if not g.is_zero():
-                    out.append(g)
-    else:
-        for a in range(len(idx)):
-            out.append(ring.var_by_index(idx[a]) - ring.const(vals[a]))
+    for a in range(len(v)):
+        for b in range(a + 1, len(v)):
+            g = v[a].scale(vals[b]) - v[b].scale(vals[a])
+            if not g.is_zero():
+                out.append(g)
     return out
 
 
-def fiber(
-    S: Subscheme,
-    at: Dict[str, Sequence],
-    ctx: EngineContext,
-    project: bool = False,
-) -> Subscheme:
-    """Fiber of S over assigned block points, re-saturated.
+def at_point(ideal: Ideal, at: Dict[str, Sequence]) -> Ideal:
+    """I with each assigned block set to its point, in the ring without
+    those blocks: the cut by the point forms, saturated and eliminated.
 
-    With project=True the assigned blocks are eliminated afterwards, so
-    the result lives in the remaining factors.
+    Take a projective point p of block b with p_k != 0.  Modulo the point
+    forms every variable v_i of b is (p_i/p_k)·v_k, so a generator g of
+    b-degree d becomes (v_k/p_k)^d·g(p), and m_b is v_k up to radical.
+    Hence (I + forms) : m_b^∞ = (I + forms) : v_k^∞ = I(p) + forms, as v_k
+    is a nonzerodivisor on (R'/I(p))[v_k], R' omitting b; eliminating b
+    leaves I(p) (Cox, Little & O'Shea, ch. 4 §4).  An affine point is a
+    plain substitution.
     """
-    if not at:
-        return S
-    ring = S.ring
-    forms = []
-    for block, coords in at.items():
-        forms.extend(point_forms(ring, block, coords))
-    cut = S.ideal.with_extra(forms)
-    if project:
-        # saturate the blocks being dropped first, else the image closure
-        # picks up the cone over their zero locus
-        drop = [b for b in at if S.ambient.block(b).projective]
-        cut = multisaturate(cut, ctx, blocks=drop)
-        projected = eliminate(cut, list(at.keys()), ctx)
-        return Subscheme.saturated(projected, ctx)
-    return Subscheme.saturated(cut, ctx)
+    ring = ideal.ring
+    values = {ring.ambient.varnames[i]: ring.const(c) for block, coords in at.items()
+              for i, c in zip(ring.ambient.block_range(block), _point_values(ring, block, coords))}
+    target = PolyRing(ring.ambient.without(at), ring.field)
+    return Ideal(target, [g.map_vars({}, target) for g in substitute_all(ideal.gens, values)])
+
+
+def fiber(S: Subscheme, at: Dict[str, Sequence], ctx: EngineContext) -> Subscheme:
+    """Fiber of S over assigned block points, in the other blocks, saturated:
+    setting a block to a point can leave irrelevant components in the others."""
+    return Subscheme.saturated(at_point(S.ideal, at), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +293,8 @@ def join(A: Subscheme, B: Subscheme, ctx: EngineContext) -> Subscheme:
         [p[i] * q[j] - p[j] * q[i] for i in range(n) for j in range(i + 1, n)],
     )
     incidence = saturate(incidence, diag, ctx)
-    out = eliminate(incidence, [p_name, q_name], ctx)
-    target = PolyRing(amb, A.ring.field)
-    return Subscheme.saturated(
-        Ideal(target, [target.convert(g) for g in out.gens]), ctx
-    )
+    # eliminating p and q leaves the ideal in A's ring
+    return Subscheme.saturated(eliminate(incidence, [p_name, q_name], ctx), ctx)
 
 
 def _det3(r0: List[Poly], r1: List[Poly], r2: List[Poly], cols: Tuple[int, int, int]) -> Poly:

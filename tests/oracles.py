@@ -3,12 +3,21 @@
 Imported by the test modules (pytest puts this directory on sys.path).
 """
 
+from functools import reduce
 from math import comb
 
 from conekit import groebner
-from conekit.ideals import contains_ideal, hilbert_data, radical_member, saturate
+from conekit.ideals import (
+    contains_ideal,
+    eliminate,
+    hilbert_data,
+    intersect,
+    radical_member,
+    saturate,
+    saturate_by_poly,
+)
 from conekit.ring import AmbientSpace, RingError
-from conekit.scheme import SchemeError
+from conekit.scheme import SchemeError, point_forms
 
 
 def packed_key(order, nvars):
@@ -96,3 +105,21 @@ def is_component(S, C, ctx):
         return False  # saturation removed nothing
     removed = saturate(S.ideal, kept, ctx) if kept.gens else S.ideal
     return hilbert_data(removed, ctx).dimension == C.dimension(ctx)
+
+
+def fiber_by_elimination(ideal, at, ctx):
+    """Oracle route to scheme.at_point: the cut by the point forms of each
+    assigned block, saturated by each assigned projective block's
+    irrelevant ideal, then with the assigned blocks eliminated.
+
+    The block saturation is exact: I : m_b^∞ is the intersection of the
+    divide-outs I : v^∞ over the block's variables v.
+    """
+    ring = ideal.ring
+    cut = ideal.with_extra([g for block, coords in at.items()
+                            for g in point_forms(ring, block, coords)])
+    for block in at:
+        if ring.ambient.block(block).projective:
+            parts = [saturate_by_poly(cut, v, ctx) for v in ring.block_vars(block)]
+            cut = reduce(lambda a, b: intersect(a, b, ctx), parts)
+    return eliminate(cut, list(at), ctx)

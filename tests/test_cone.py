@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conekit import checks, cone
+from conekit import checks, cone, scheme
 from conekit.checks import FAIL
 from conekit.fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField
 from conekit.ideals import EngineContext, Ideal, contains, ideal_equal, multisaturate
@@ -12,7 +12,7 @@ from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
 from conekit.scheme import Subscheme, fiber
 import oracles
-from oracles import expansion_pencil_taylor, is_component
+from oracles import expansion_pencil_taylor, fiber_by_elimination, is_component
 
 CFG = FieldConfig.parse("Fp:%d" % DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -310,17 +310,60 @@ def test_sigma_routes_match_theta_on_quadric(p):
     theta = schemes.theta.ideal
     assert ideal_equal(multisaturate(theta, ctx), theta, ctx)
     lazy = cone.sigma_fiber(schemes)
-    eager = fiber(Subscheme.saturated(schemes.sigma, ctx), {"t": (1, 1)}, ctx)
+    # the eager fibre: saturated sigma, cut at t = 1, t saturated and eliminated
+    at_one = {"t": (1, 1)}
+    eager = Subscheme.saturated(
+        fiber_by_elimination(Subscheme.saturated(schemes.sigma, ctx).ideal, at_one, ctx), ctx)
     assert ideal_equal(lazy.ideal, eager.ideal, ctx)
     fiber_pair, diagonal_pair = cone.verify_diagonal_is_component(schemes)
     assert fiber_pair == diagonal_pair == (3, 6)
-    assert is_component(lazy, schemes.diagonal_part, ctx)
+    assert is_component(lazy, fiber(schemes.diagonal_part, at_one, ctx), ctx)
     # cone_family_end from theta: a collection whose sigma is theta
-    delta = checks._point_delta_on_x(cd, ctx)
+    delta = checks._point_delta_on_x(cd, ctx).coords
     from_theta = cone.ConeSchemes(cd, ctx)
     from_theta._cache["sigma"] = theta
     end = cone.cone_family_end(schemes, delta).support.ideal
     assert ideal_equal(end, cone.cone_family_end(from_theta, delta).support.ideal, ctx)
+
+
+# (blocks of the cut ideal, blocks set to a point) of each point cut
+CHECK_CUTS = {
+    (("t", "z", "x", "y"), ("t", "z")),  # omega at (1:1), (1:0): the E0 fibre
+    (("x", "y"), ("y",)),  # w-covering's graph over the image point
+    (("z", "x", "y"), ("x",)),  # formula-3-5's Gamma over an image point
+    (("x", "y"), ("x",)),  # prop-2-5: E0 over delta
+    (("t", "z", "x", "y"), ("x",)),  # prop-2-6: sigma over delta
+    (("t", "z", "x", "y"), ("t",)),  # prop-2-1: sigma and the diagonal at t = 1
+    (("t", "z", "y"), ("t",)),  # prop-2-6: the family end at t = (1:0)
+}
+
+
+def test_at_point_matches_elimination_at_every_check_cut(monkeypatch):
+    # each point cut the checks make on quadric-s2-h1 at both primes equals
+    # the cut by the point forms, exactly block-saturated and eliminated
+    cuts = {}
+    at_point = scheme.at_point
+
+    def recording(ideal, at):
+        point = tuple((b, tuple(c)) for b, c in at.items())
+        cuts.setdefault((ideal.key(), point), (ideal, at))
+        return at_point(ideal, at)
+
+    monkeypatch.setattr(scheme, "at_point", recording)
+    monkeypatch.setattr(cone, "at_point", recording)
+    for p in (DEFAULT_PRIME, SECOND_PRIME):
+        cd = cone.preset("quadric-s2-h1", FieldConfig.parse("Fp:%d" % p))
+        ctx = EngineContext(seed=0)
+        gate = checks.certify_gate(cd, ctx)
+        for name in checks.CHECK_ORDER:
+            checks.run_check(name, cd, ctx, gate)
+        assert checks.E0_FIBER_CHECK.fn(cd, ctx).status == checks.PASS
+    monkeypatch.undo()
+    kinds = {(tuple(b.name for b in I.ambient.blocks), tuple(at)) for I, at in cuts.values()}
+    assert kinds == CHECK_CUTS
+    for ideal, at in cuts.values():
+        ctx = EngineContext(seed=0)
+        assert ideal_equal(scheme.at_point(ideal, at), fiber_by_elimination(ideal, at, ctx), ctx)
 
 
 def test_heavy_checks_reach_neither_theta_nor_is_component(monkeypatch):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conekit.fields import DEFAULT_PRIME, PrimeField
 from conekit.ideals import EngineContext, Ideal, contains, ideal_equal
@@ -12,6 +14,7 @@ from conekit.scheme import (
     RationalMapSpec,
     SchemeError,
     Subscheme,
+    at_point,
     component_multiplicity,
     fiber,
     graph_closure,
@@ -20,7 +23,7 @@ from conekit.scheme import (
     union_certify,
     _univariate_roots,
 )
-from oracles import is_component
+from oracles import fiber_by_elimination, is_component
 
 FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -67,7 +70,7 @@ def test_fiber_with_projection():
     amb = AmbientSpace.product(("x", 2), ("y", 2))
     R = PolyRing(amb, FP)
     G = scheme(R, "x0^2*y1 - x1^2*y0")
-    F = fiber(G, {"y": (1, 1)}, CTX, project=True)
+    F = fiber(G, {"y": (1, 1)}, CTX)
     assert F.dimension(CTX) == 0
     assert F.degree(CTX) == 2
     assert contains(F.ideal, F.ring.parse("x0^2 - x1^2"), CTX)
@@ -78,7 +81,56 @@ def test_fiber_keeps_other_blocks():
     R = PolyRing(amb, FP)
     G = scheme(R, "x0*y1 - x1*y0")
     F = fiber(G, {"x": (1, 2)}, CTX)
-    assert contains(F.ideal, R.parse("y1 - 2*y0"), CTX)
+    assert F.ambient == AmbientSpace.product(("y", 2))
+    assert contains(F.ideal, F.ring.parse("y1 - 2*y0"), CTX)
+
+
+def test_fiber_rejects_bad_points():
+    R = PolyRing(AmbientSpace.product(("x", 2), ("y", 2)), FP)
+    G = scheme(R, "x0*y1 - x1*y0")
+    with pytest.raises(SchemeError, match="point has 3 coordinates"):
+        fiber(G, {"x": (1, 2, 3)}, CTX)
+    with pytest.raises(SchemeError, match="all-zero projective point"):
+        fiber(G, {"x": (0, 0)}, CTX)
+
+
+F7_RING = PolyRing(AmbientSpace.product(("a", 2), ("b", 3)), PrimeField(7))
+
+
+def _monomials(nvars, deg):
+    if nvars == 1:
+        yield (deg,)
+        return
+    for e in range(deg + 1):
+        for rest in _monomials(nvars - 1, deg - e):
+            yield (e,) + rest
+
+
+@st.composite
+def bihomogeneous_ideals(draw):
+    """Up to three forms of bidegree at most (2, 2) in P^1 x P^2 over F_7."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        da, db = draw(st.sampled_from([(a, b) for a in range(3) for b in range(3) if a or b]))
+        terms = {ma + mb: draw(st.integers(0, 6))
+                 for ma in _monomials(2, da) for mb in _monomials(3, db)}
+        gens.append(F7_RING.from_terms(terms))
+    return Ideal(F7_RING, gens)
+
+
+@st.composite
+def block_points(draw):
+    """A point of one of the two blocks (a ring keeps at least one block)."""
+    block = draw(st.sampled_from(["a", "b"]))
+    size = F7_RING.ambient.block(block).size
+    return {block: tuple(draw(st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any)))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(bihomogeneous_ideals(), block_points())
+def test_at_point_matches_elimination_over_f7(ideal, at):
+    ctx = EngineContext(seed=0)
+    assert ideal_equal(at_point(ideal, at), fiber_by_elimination(ideal, at, ctx), ctx)
 
 
 def test_is_component():

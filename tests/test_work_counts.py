@@ -20,7 +20,10 @@ a containment test, and a saturation by a linear form outside
 `saturate_block` took the 1 - u*g elimination, the first prime made
 (199, 121) of these calls, the second (133, 88), both (332, 209).  Before
 `join` and `cone_family_end` dropped three saturations that change no
-ideal, the first prime made (139, 107), the second (93, 77).
+ideal, the first prime made (139, 107), the second (93, 77).  Before
+`fiber` and prop-2-5 fixed a block at a point by substituting it, where
+they had cut by the point forms, saturated the block and eliminated it,
+the first prime made (137, 105), the second (91, 75).
 """
 
 import os
@@ -36,8 +39,8 @@ LIGHT_CHECKS = tuple(c for c in CHECK_ORDER if c not in ("prop-2-1", "prop-2-6")
 CFG = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991", checks=LIGHT_CHECKS, seed=0)
 
 # (EngineContext.groebner calls, buchberger calls) of each half
-FIRST_PRIME = (137, 105)
-SECOND_PRIME = (91, 75)
+FIRST_PRIME = (126, 95)
+SECOND_PRIME = (80, 65)
 MAX_PRINTS = 600  # 490 when the bound was set, over both primes
 
 
