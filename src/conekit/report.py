@@ -170,16 +170,27 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+# False in a run_scenarios pool worker, whose pool already has a worker per core
+_FORK_SECOND_PRIME = True
+
+
+def _pool_worker_init() -> None:
+    """Run each second prime in-process in this pool worker."""
+    global _FORK_SECOND_PRIME
+    _FORK_SECOND_PRIME = False
+
+
 class _SecondPrimeRun:
     """The second-prime re-runs of a scenario's randomized checks.
 
     They run in a forked child, concurrently with the parent's first-prime
     checks, and come back pickled through a pipe.  Where os.fork is
-    missing or fails, the process has more than one thread, or it may run
-    on one core only, they run in-process when `outcomes` is called.  A
-    child that raises, exits without a result or dies by a signal gives
-    every check an INCONCLUSIVE outcome with an `internal-error` witness.
-    `close` kills and reaps a child whose outcomes were not read.
+    missing or fails, the process has more than one thread, it may run on
+    one core only, or it is a run_scenarios pool worker, they run
+    in-process when `outcomes` is called.  A child that raises, exits
+    without a result or dies by a signal gives every check an INCONCLUSIVE
+    outcome with an `internal-error` witness.  `close` kills and reaps a
+    child whose outcomes were not read.
     """
 
     def __init__(self, names: List[str], cd: ConeData, ctx: EngineContext):
@@ -190,7 +201,8 @@ class _SecondPrimeRun:
         # the child would hold only the forking thread, and any lock that
         # another thread held at the fork would stay held there; on one
         # core it would only take turns with the parent
-        if hasattr(os, "fork") and threading.active_count() == 1 and _cores() > 1:
+        if (_FORK_SECOND_PRIME and hasattr(os, "fork") and threading.active_count() == 1
+                and _cores() > 1):
             # else text buffered before the fork would be written twice
             sys.stdout.flush()
             sys.stderr.flush()
@@ -311,6 +323,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 def run_scenarios(configs: List[ScenarioConfig], jobs: int) -> List[dict]:
     """run_scenario over every config, in order; a pool of up to `jobs`
     workers when there is more than one worker and more than one config.
+    A pool worker runs its second primes in-process: a forked child would
+    only take turns with the other workers for the cores.
 
     A pool worker that dies (say, to the OOM killer) raises
     concurrent.futures.process.BrokenProcessPool here rather than leaving
@@ -318,7 +332,7 @@ def run_scenarios(configs: List[ScenarioConfig], jobs: int) -> List[dict]:
     if jobs > 1 and len(configs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(min(jobs, len(configs))) as pool:
+        with ProcessPoolExecutor(min(jobs, len(configs)), initializer=_pool_worker_init) as pool:
             return list(pool.map(run_scenario, configs))
     return [run_scenario(c) for c in configs]
 

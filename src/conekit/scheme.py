@@ -1,7 +1,9 @@
 """Geometry vocabulary over the engine: subschemes of products of
 projective spaces, graph closures of rational maps, fibers, unions,
 multiplicities, joins, and point search.  A fibre over a point substitutes
-the point (`at_point`) rather than cutting, saturating and eliminating.
+the point (`at_point`) rather than cutting, saturating and eliminating.  A
+point search whose slices cut a line reads the points from one binary form
+(`_line_points`) rather than from a lex basis for each affine chart.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .ideals import (
     radical_equal,
     saturate,
 )
+from .linalg import kernel_basis
 from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, substitute_all
 
 
@@ -417,6 +420,8 @@ def _univariate_roots(field: Field, coeffs: List[int]) -> List[int]:
         raise SchemeError("zero polynomial has every root")
     if len(f) == 1:
         return []
+    if len(f) == 2:
+        return [-f[0] * pow(f[1], p - 2, p) % p]
     frob = _poly_sub(_poly_powmod([0, 1], p, f, p), [0, 1], p)
     g = _poly_gcd(f, frob, p)
     roots: List[int] = []
@@ -480,11 +485,83 @@ def _points(basis: Sequence[Poly], var: int, known: Dict[int, int]):
 POINT_TRIALS = 40
 
 
+def _on_line(g: Poly, u: Sequence[int], w: Sequence[int], p: int) -> List[int]:
+    """g(s·u + w) as coefficients in s, low to high, one for each degree up
+    to g's; for a form g the last is g(u)."""
+    out = [0] * (g.total_degree() + 1)
+    for m, c in g.terms.items():
+        f = [c]
+        for i, e in enumerate(m):
+            for _ in range(e):
+                f = [(a * w[i] + b * u[i]) % p for a, b in zip(f + [0], [0] + f)]
+        for k, a in enumerate(f):
+            out[k] += a
+    return [a % p for a in out]
+
+
+def _line_points(gens: Sequence[Poly], u: List[int], w: List[int],
+                 field: Field) -> Optional[List[List[int]]]:
+    """The F_p-points of V(gens) on the line {s·u + t·w}, or None when the
+    line lies in V(gens).
+
+    A point (s:t) lies on V(gens) iff every restriction g(s·u + t·w), a
+    binary form, vanishes there: (s:1) for the roots s of the gcd of the
+    restrictions at t = 1, and (1:0) when every g(u) is 0.
+    """
+    p = field.p
+    common: Optional[List[int]] = None
+    at_infinity = True
+    for g in gens:
+        r = _on_line(g, u, w, p)
+        at_infinity = at_infinity and r[-1] == 0
+        while r and r[-1] == 0:
+            r.pop()
+        if r:
+            common = r if common is None else _poly_gcd(common, r, p)
+    if common is None:
+        return None
+    points = [[(s * a + b) % p for a, b in zip(u, w)] for s in _univariate_roots(field, common)]
+    if at_infinity:
+        points.append(list(u))
+    return points
+
+
+def _first_in_charts(points: List[List[int]], field: Field) -> Tuple[int, ...]:
+    """The point the chart loop returns: in the least chart x_c = 1 that
+    holds one of the points, the least of them by (x_{n−1}, ..., x_0)."""
+    c = min(next(i for i, v in enumerate(pt) if v) for pt in points)
+    scaled = []
+    for pt in points:
+        if pt[c]:
+            inv = field.inv(pt[c])
+            scaled.append(tuple(v * inv % field.p for v in pt))
+    return min(scaled, key=lambda pt: pt[::-1])
+
+
 def random_point(S: Subscheme, ctx: EngineContext) -> Optional[PointWitness]:
     """A rational point of S over its prime field, or None after POINT_TRIALS slicings.
 
-    Slices S with random hyperplanes down to dimension 0 and solves the
-    resulting system chart by chart; deterministic under the context seed.
+    Each trial draws dim S random hyperplanes; deterministic under the
+    context seed.  Where the slices and S's linear generators cut a line L
+    = {s·u + t·w} (a 2-dimensional kernel, u and w its basis), the trial
+    reads L ∩ S from the restrictions of S's other generators to L
+    (`_line_points`), with no Groebner basis.  Any other slicing (dependent
+    slices, or S of codimension 2 or more past its linear generators) is
+    solved chart by chart: the first chart x_c = 1, c = 0, 1, ..., whose
+    system has an F_p-point gives the first point `_points` yields.
+
+    The line route returns what the charts return.  With L ⊄ S the set
+    L ∩ S is finite, so each chart system S + slices + (x_c − 1) is
+    zero-dimensional, and its F_p-points are exactly the F_p-points of
+    L ∩ S with x_c ≠ 0, scaled to x_c = 1.  On a zero-dimensional lex basis
+    `_points` yields every F_p-point, in ascending order of (x_{n−1}, ...,
+    x_0), so a chart returns None exactly when it has no such point, and
+    else the least of them by that key.  The first chart to answer is
+    therefore the least c where some point of L ∩ S has x_c ≠ 0, and its
+    answer is the least of those points scaled to x_c = 1, which is what
+    the line route returns.  With L ⊆ S every chart system is an affine
+    line or empty; on the line `_points` meets a free variable, so no chart
+    answers, and the line route gives no point either.
     """
     amb = S.ambient
     if len(amb.projective_blocks) != 1 or len(amb.blocks) != 1:
@@ -498,24 +575,24 @@ def random_point(S: Subscheme, ctx: EngineContext) -> Optional[PointWitness]:
     if dim < 0:
         return None
     n = blk.size
+    key = S.ideal.key()
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    linear = [[g.terms.get(m, 0) for m in units] for g in S.ideal.gens if g.total_degree() == 1]
+    others = [g for g in S.ideal.gens if g.total_degree() != 1]
     for trial in range(POINT_TRIALS):
-        rng = ctx.rng("random-point", S.ideal.key(), trial)
-        slices = []
-        for _ in range(dim):
-            coeffs = [F.sample(rng) for _ in range(n)]
-            form = ring.zero()
-            for i, c in enumerate(coeffs):
-                form = form + ring.var_by_index(amb.block_range(blk.name)[i]).scale(c)
-            if not form.is_zero():
-                slices.append(form)
+        rng = ctx.rng("random-point", key, trial)
+        rows = [[F.sample(rng) for _ in range(n)] for _ in range(dim)]
+        line = kernel_basis(F, rows + linear, n)
+        if len(line) == 2:
+            points = _line_points(others, line[0], line[1], F)
+            if points:
+                return PointWitness(block=blk.name, coords=_first_in_charts(points, F))
+            continue
+        slices = [ring.from_terms(dict(zip(units, r))) for r in rows if any(r)]
         sliced = S.ideal.with_extra(slices)
         for chart in range(n):
-            vname = blk.name + str(chart)
-            chart_ideal = sliced.with_extra([ring.var(vname) - ring.one()])
-            sol = _zero_dim_point(chart_ideal, ctx)
+            sol = _zero_dim_point(sliced.with_extra([ring.var_by_index(chart) - ring.one()]), ctx)
             if sol is not None:
-                coords = tuple(
-                    sol.get(amb.block_range(blk.name)[i], 0) for i in range(n)
-                )
-                return PointWitness(block=blk.name, coords=coords)
+                return PointWitness(block=blk.name, coords=tuple(sol.get(i, 0) for i in range(n)))
     return None
+

@@ -17,7 +17,13 @@ from conekit.ideals import (
     saturate_by_poly,
 )
 from conekit.ring import AmbientSpace, RingError
-from conekit.scheme import SchemeError, point_forms
+from conekit.scheme import (
+    POINT_TRIALS,
+    PointWitness,
+    SchemeError,
+    _zero_dim_point,
+    point_forms,
+)
 
 
 def packed_key(order, nvars):
@@ -123,3 +129,43 @@ def fiber_by_elimination(ideal, at, ctx):
             parts = [saturate_by_poly(cut, v, ctx) for v in ring.block_vars(block)]
             cut = reduce(lambda a, b: intersect(a, b, ctx), parts)
     return eliminate(cut, list(at), ctx)
+
+
+def random_point_by_charts(S, ctx):
+    """Oracle route to scheme.random_point: every slicing solved chart by
+    chart, x_c = 1 for c = 0, 1, ..., through a lex basis each, with the
+    first point `_points` yields in the first chart that has one.
+    """
+    amb = S.ambient
+    if len(amb.projective_blocks) != 1 or len(amb.blocks) != 1:
+        raise SchemeError("point search needs a single projective factor")
+    blk = amb.blocks[0]
+    ring = S.ring
+    F = ring.field
+    if not F.p:
+        raise SchemeError("point search needs a prime field")
+    dim = S.dimension(ctx)
+    if dim < 0:
+        return None
+    n = blk.size
+    for trial in range(POINT_TRIALS):
+        rng = ctx.rng("random-point", S.ideal.key(), trial)
+        slices = []
+        for _ in range(dim):
+            coeffs = [F.sample(rng) for _ in range(n)]
+            form = ring.zero()
+            for i, c in enumerate(coeffs):
+                form = form + ring.var_by_index(amb.block_range(blk.name)[i]).scale(c)
+            if not form.is_zero():
+                slices.append(form)
+        sliced = S.ideal.with_extra(slices)
+        for chart in range(n):
+            vname = blk.name + str(chart)
+            chart_ideal = sliced.with_extra([ring.var(vname) - ring.one()])
+            sol = _zero_dim_point(chart_ideal, ctx)
+            if sol is not None:
+                coords = tuple(
+                    sol.get(amb.block_range(blk.name)[i], 0) for i in range(n)
+                )
+                return PointWitness(block=blk.name, coords=coords)
+    return None

@@ -736,6 +736,31 @@ def test_run_presets_killed_pool_worker_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_run_scenarios_pool_workers_do_not_fork(monkeypatch, two_cores):
+    # the pool's initializer runs in each worker before its first scenario;
+    # this pool runs both here, where os.fork may not be called after it
+    class InProcessPool:
+        def __init__(self, workers, initializer):
+            initializer()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfgs = [fast_cfg(checks=("expansion-g", "prop-2-5", "w-covering")),
+            fast_cfg(preset_name="cubic-3f-h2", checks=("prop-2-5",))]
+    serial = [report_bytes(run_scenario(cfg)) for cfg in cfgs]
+    monkeypatch.setattr(report, "_FORK_SECOND_PRIME", True)  # restored after the test
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", _must_not_fork)
+    assert [report_bytes(r) for r in report.run_scenarios(cfgs, 2)] == serial
+
+
 @pytest.mark.parametrize("jobs,n_configs", [(1, 2), (3, 1)])
 def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
     # one worker, or one scenario, runs in this process
@@ -749,8 +774,7 @@ def test_run_scenarios_without_a_pool(monkeypatch, jobs, n_configs):
     assert [report_bytes(r) for r in reports] == [report_bytes(run_scenario(cfg))] * n_configs
 
 
-def test_cli_verify_jobs_forks_inside_pool_workers(capsys, two_cores):
-    # each pool worker forks its second-prime process
+def test_cli_verify_jobs_matches_serial(capsys, two_cores):
     argv = ["verify", "--scenario", "quadric-s2-h1", "--scenario", "cubic-3f-h2",
             "--checks", "expansion-g,prop-2-5"]
     assert main(argv + ["--jobs", "1"]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import ideals, scheme as scheme_mod
 from conekit.fields import DEFAULT_PRIME, PrimeField
 from conekit.ideals import EngineContext, Ideal, contains, ideal_equal
 from conekit.ring import AmbientSpace, Block, PolyRing, poly_str
@@ -21,9 +22,10 @@ from conekit.scheme import (
     join,
     random_point,
     union_certify,
+    _line_points,
     _univariate_roots,
 )
-from oracles import fiber_by_elimination, is_component
+from oracles import fiber_by_elimination, is_component, random_point_by_charts
 
 FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -224,6 +226,90 @@ def test_univariate_roots_match_scan(p):
         assert _univariate_roots(F, coeffs) == scan
     with pytest.raises(SchemeError):
         _univariate_roots(F, [0, 0])
+
+
+@st.composite
+def small_field_schemes(draw):
+    """A hypersurface of degree 1 to 3 in P^2, P^3 or P^4 over F_5, F_7 or
+    F_11, cut by up to two random hyperplanes, with a context seed."""
+    p = draw(st.sampled_from([5, 7, 11]))
+    n = draw(st.integers(3, 5))
+    R = PolyRing(AmbientSpace.product(("x", n)), PrimeField(p))
+    coeff = st.integers(0, p - 1)
+    deg = draw(st.integers(1, 3))
+    f = R.from_terms({m: draw(coeff) for m in _monomials(n, deg)})
+    planes = [R.from_terms({m: draw(coeff) for m in _monomials(n, 1)})
+              for _ in range(draw(st.integers(0, min(2, n - 2))))]
+    gens = [g for g in [f] + planes if not g.is_zero()]
+    return Subscheme(Ideal(R, gens)), draw(st.integers(0, 7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_field_schemes())
+def test_random_point_matches_charts_over_small_fields(case):
+    # small primes draw points with x0 = 0, roots at (1:0) and dependent slices
+    S, seed = case
+    assert random_point(S, EngineContext(seed=seed)) == \
+        random_point_by_charts(S, EngineContext(seed=seed))
+
+
+def test_random_point_skips_a_slice_on_the_scheme(monkeypatch):
+    # over F_2 the slice x0 is drawn often; it lies on S, gives no point,
+    # and the next slicing answers as the charts do
+    F = PrimeField(2)
+    R = PolyRing(AmbientSpace.product(("x", 3)), F)
+    S = Subscheme(Ideal(R, [R.parse("x0*x1")]))
+    lines = []
+
+    def recorded(*args):
+        lines.append(_line_points(*args))
+        return lines[-1]
+
+    monkeypatch.setattr(scheme_mod, "_line_points", recorded)
+    for seed in range(64):
+        assert random_point(S, EngineContext(seed=seed)) == \
+            random_point_by_charts(S, EngineContext(seed=seed))
+        if None in lines:
+            break
+    assert None in lines
+
+
+def test_line_points_constant_gcd():
+    F = PrimeField(7)
+    R = PolyRing(AmbientSpace.product(("x", 3)), F)
+    u, w = [1, 0, 0], [0, 1, 0]
+    # on (s:t:0) the restrictions s*t and s^2 + t^2 have a constant gcd at t = 1
+    assert _line_points([R.parse("x0*x1"), R.parse("x0^2 + x1^2")], u, w, F) == []
+    # s*t and s*t + t^2 share only the root (1:0)
+    assert _line_points([R.parse("x0*x1"), R.parse("x0*x1 + x1^2")], u, w, F) == [u]
+
+
+@pytest.mark.parametrize("p", [5, DEFAULT_PRIME])
+def test_random_point_with_linear_generators(p):
+    # a conic in the plane x3 = x0 + x1 of P^3: the linear generator and one
+    # slice cut the line
+    F = PrimeField(p)
+    R = PolyRing(AmbientSpace.product(("x", 4)), F)
+    S = Subscheme(Ideal(R, [R.parse("x3 - x0 - x1"), R.parse("x0*x1 - x2^2")]))
+    for seed in range(8):
+        w = random_point(S, EngineContext(seed=seed))
+        assert w == random_point_by_charts(S, EngineContext(seed=seed))
+        subs = {"x%d" % i: R.const(c) for i, c in enumerate(w.coords)}
+        assert all(g.substitute(subs).is_zero() for g in S.ideal.gens)
+
+
+def test_random_point_on_a_line_computes_no_basis(monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("a Groebner basis was computed")
+
+    R = PolyRing(AmbientSpace.product(("x", 5)), FP)
+    for gens in (["x0*x3 - x1*x2 + x4^2"], ["x0^3 + x1^3 + x2^3 + x3^3", "x4 - x0"]):
+        S = Subscheme(Ideal(R, [R.parse(g) for g in gens]))
+        ctx = EngineContext(seed=0)
+        S.hilbert(ctx)  # the only bases the search may need
+        with monkeypatch.context() as m:
+            m.setattr(ideals.EngineContext, "groebner", no_basis)
+            assert random_point(S, ctx) is not None
 
 
 def test_random_point_empty_scheme():
