@@ -3,7 +3,8 @@
 
 Writes one report per (preset, prime) under --out-dir and prints a status
 matrix.  Skips nothing: FAIL and INCONCLUSIVE rows are part of the record.
-Exits 1 when a check reports FAIL, and 3 when a --jobs worker dies.
+Exits 1 when a check reports FAIL; otherwise 3 when a check raised or a
+--jobs worker died, as `conekit verify` does.
 
 Usage:
     python3 scripts/run_presets.py [--out-dir reports] [--seed N]
@@ -19,7 +20,13 @@ from concurrent.futures.process import BrokenProcessPool
 from conekit.checks import CHECK_ORDER
 from conekit.cone import PRESETS
 from conekit.fields import DEFAULT_PRIME, SECOND_PRIME
-from conekit.report import ScenarioConfig, report_bytes, run_scenarios
+from conekit.report import (
+    ScenarioConfig,
+    report_bytes,
+    report_has_fail,
+    report_has_internal_error,
+    run_scenarios,
+)
 
 
 def build_configs(args):
@@ -66,10 +73,10 @@ def main(argv=None):
         for c in rep["checks"]:
             print("   %-*s  %s" % (width, c["name"], c["status"]))
         print("   summary: %s -> %s" % (json.dumps(rep["summary"]), cfg.out_path))
-    any_fail = any(
-        c["status"] == "FAIL" for rep in reports for c in rep["checks"]
-    )
-    return 1 if any_fail else 0
+    # a FAIL verdict is reported first; otherwise a check that raised exits 3
+    if any(report_has_fail(rep) for rep in reports):
+        return 1
+    return 3 if any(report_has_internal_error(rep) for rep in reports) else 0
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import json
 import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .cache import BasisCache
 from .checks import CHECK_ORDER, CHECKS
@@ -29,6 +29,7 @@ from .ring import (
     BlockElimOrder,
     GrevlexOrder,
     LexOrder,
+    Poly,
     PolyRing,
     RingError,
     poly_str,
@@ -56,14 +57,20 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
     )
 
 
+def _open_cache(root: str) -> BasisCache:
+    """The cache at `root`, creating the directory as a run would; a path
+    that cannot be a directory raises ConfigError."""
+    try:
+        return BasisCache(root)
+    except OSError as exc:
+        raise ConfigError("cache-dir %r is not a usable directory: %s" % (root, exc))
+
+
 def _check_paths(cfg: ScenarioConfig) -> None:
     """Raise ConfigError for a cache directory or report path that cannot be
     used, so that no check runs before the run would crash on it."""
     if cfg.cache_dir:
-        try:
-            BasisCache(cfg.cache_dir)  # creates the directory, as the run would
-        except OSError as exc:
-            raise ConfigError("cache-dir %r is not a usable directory: %s" % (cfg.cache_dir, exc))
+        _open_cache(cfg.cache_dir)
     if cfg.out_path:
         parent = os.path.dirname(os.path.abspath(cfg.out_path))
         if not os.path.isdir(parent):
@@ -122,10 +129,13 @@ def cmd_explain(args) -> int:
 
 def cmd_cache(args) -> int:
     root = args.cache or _default_cache()
-    if not root:
-        print("no cache directory (use --cache or CONEKIT_CACHE)", file=sys.stderr)
+    try:
+        if not root:
+            raise ConfigError("no cache directory (use --cache or CONEKIT_CACHE)")
+        cache = _open_cache(root)
+    except ConfigError as exc:
+        print("config error: %s" % exc, file=sys.stderr)
         return 2
-    cache = BasisCache(root)
     if args.action == "stats":
         st = cache.stats()
         print("entries: %d" % st["entries"])
@@ -143,22 +153,38 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _ring_from_ideal_file(data: dict) -> PolyRing:
+def _is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _load_ideal_file(data) -> Tuple[PolyRing, List[Poly]]:
+    """The ring an ideal file declares, and its generators parsed there."""
+    if not isinstance(data, dict):
+        raise ConfigError("ideal file must hold a JSON object")
     try:
         blocks = [(str(b[0]), int(b[1])) for b in data["blocks"]]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError("ideal file needs blocks [[name, size], ...]: %s" % exc)
+    for key, ok, what in (
+        ("field", lambda v: isinstance(v, str), "a string"),
+        ("affine", _is_text_list, "a list of block names"),
+        ("gens", _is_text_list, "a list of polynomial strings"),
+    ):
+        if key in data and not ok(data[key]):
+            raise ConfigError("%s must be %s, not %r" % (key, what, data[key]))
+    affine = data.get("affine", [])
+    unknown = [a for a in affine if a not in {name for name, _ in blocks}]
+    if unknown:
+        raise ConfigError("affine names unknown block %r" % unknown[0])
     field = FieldConfig.parse(data.get("field", "Q")).field()
-    affine = tuple(data.get("affine", ()))
-    return PolyRing(AmbientSpace.product(*blocks, affine=affine), field)
+    ring = PolyRing(AmbientSpace.product(*blocks, affine=affine), field)
+    return ring, [ring.parse(t) for t in data["gens"]]
 
 
 def cmd_gb(args) -> int:
     try:
         with open(args.ideal, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        ring = _ring_from_ideal_file(data)
-        gens = [ring.parse(t) for t in data["gens"]]
+            ring, gens = _load_ideal_file(json.load(fh))
     except (OSError, json.JSONDecodeError, KeyError, ConfigError, FieldError, RingError) as exc:
         print("cannot load ideal: %s" % exc, file=sys.stderr)
         return 2

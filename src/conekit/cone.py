@@ -434,7 +434,7 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
     """The graph's fiber over (t, z) = (1, unsteady), projected to x x y,
     equals the r=0 fiber-product scheme."""
     cd, ctx = schemes.cd, schemes.ctx
-    fib = fiber(schemes.omega, {"t": (1, 1), "z": (1, 0)}, ctx)
+    fib = fiber(schemes.omega.ideal, {"t": (1, 1), "z": (1, 0)}, ctx)
     return ideal_equal(fib.ideal, build_fiber_product_scheme(cd, 0).ideal, ctx)
 
 
@@ -451,7 +451,7 @@ def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[i
     component of S, with multiplicity 1: deg S sums length times degree over
     the top-dimensional components."""
     ctx = schemes.ctx
-    S, C = sigma_fiber(schemes), fiber(schemes.diagonal_part, {"t": (1, 1)}, ctx)
+    S, C = sigma_fiber(schemes), fiber(schemes.diagonal_part.ideal, {"t": (1, 1)}, ctx)
     if not radical_contains_ideal(C.ideal, S.ideal, ctx):
         return None
     return tuple((T.dimension(ctx), T.degree(ctx)) for T in (S, C))
@@ -490,7 +490,10 @@ def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[Coverin
     divisor of pi_z: X -> P^n.  Each sample draws a random steady z, takes
     the graph closure of pi_z with X as its source (f is imposed before the
     base locus is saturated away, so c_z itself is never counted) and reads
-    the length of its fibre over pi_z of a random point of X.
+    the length of its fibre over pi_z of a random point of X.  The fibre is
+    read unsaturated: it lives in the x block alone, where (h) of
+    `Subscheme` gives the saturation's dimension and degree, or dimension
+    -1 when the fibre is empty.
 
     Returns None when not enough rational sample points were found.
     """
@@ -518,7 +521,7 @@ def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[Coverin
         if not any(image):
             continue  # the sample is the centre itself
         graph = graph_closure(RationalMapSpec(X, twisted.target_block, forms), ctx)
-        hd = fiber(graph, {"y": image}, ctx).hilbert(ctx)
+        hd = hilbert_data(at_point(graph.ideal, {"y": image}), ctx)
         if hd.dimension != 0:
             continue  # degenerate sample: fiber not finite
         counts.append(hd.degree)
@@ -561,8 +564,7 @@ def cone_family_end(schemes: ConeSchemes, point: Sequence) -> FamilyEndResult:
     sat_all = multisaturate(moved, ctx, blocks=["z", "y"])
     residual = eliminate(sat_all, ["z", "y"], ctx)
     dominant = not residual.gens
-    S = Subscheme(sat_all)  # (e) for t, (f) for the blocks just saturated
-    fib = fiber(S, {"t": (1, 0)}, ctx)
+    fib = fiber(sat_all, {"t": (1, 0)}, ctx)
     # project to the last factor; (f): fiber ends in Subscheme.saturated
     support = Subscheme.saturated(eliminate(fib.ideal, ["z"], ctx), ctx)
     return FamilyEndResult(support=support, dominance_residual=residual, dominant=dominant)
@@ -578,22 +580,22 @@ def operator_correspondence(schemes: ConeSchemes, delta_y: Ideal) -> Ideal:
     return multisaturate(combined, schemes.ctx, blocks=["z", "y"])
 
 
-def cone_operator_image(schemes: ConeSchemes, delta_y: Ideal) -> Subscheme:
-    """Image in the x copy of the correspondence applied to delta: the
-    scheme-theoretic image of Gamma_delta, which forgets the degree of
-    Gamma_delta over it (see pushforward_degree)."""
-    ctx = schemes.ctx
-    out = eliminate(operator_correspondence(schemes, delta_y), ["z", "y"], ctx)
-    return Subscheme.saturated(out, ctx)
+def cone_operator_image(gamma: Ideal, ctx: EngineContext) -> Subscheme:
+    """Image in the x copy of the correspondence Gamma_delta (see
+    operator_correspondence): its scheme-theoretic image, which forgets the
+    degree of Gamma_delta over it (see pushforward_degree)."""
+    return Subscheme.saturated(eliminate(gamma, ["z", "y"], ctx), ctx)
 
 
-def pushforward_degree(gamma: Subscheme, image: Subscheme, ctx: EngineContext) -> Optional[int]:
+def pushforward_degree(gamma: Ideal, image: Subscheme, ctx: EngineContext) -> Optional[int]:
     """Degree of the projection gamma -> image onto the x block, i.e. the
     factor by which the cycle pushforward exceeds the scheme-theoretic image.
 
     Read as the least fibre length over random image points: where the
     fibres are finite their length is upper semicontinuous, so the least
     sampled length is the generic one.  None when no sampled fibre is finite.
+    Only fibres over x-points are read, so gamma need not be saturated in
+    the x block ((g) of `Subscheme`); each fibre, in z x y, is saturated.
     """
     lengths: List[int] = []
     for k in range(2):
@@ -698,21 +700,25 @@ def verify_operator_degree_split(
 
     The multiplicity is only defined when the intersection is proper; when
     it has a component of dimension > dim delta, that component is returned
-    as `excess` and nothing is split."""
+    as `excess` and nothing is split.
+
+    Gamma_delta is built once; the image and the pushforward degree both
+    read it.  S, the image cut by the plane section, is saturated: cutting
+    a saturated ideal by linear forms can leave an irrelevant component.
+    D is delta's linear ideal in x, case (c) of `Subscheme`.  It leaves f
+    out: delta lies in the plane section V^h ⊆ X, so f is in I(delta), and
+    with f among D's generators the random combination that saturates S by
+    D would have degree deg f, not 1, and take the 1 - u*g route."""
     cd, ctx = schemes.cd, schemes.ctx
-    img = cone_operator_image(schemes, delta_y)
-    # (f): operator_correspondence saturated the z and y blocks
-    gamma = Subscheme(
-        multisaturate(operator_correspondence(schemes, delta_y), ctx, blocks=["x"])
-    )
+    gamma = operator_correspondence(schemes, delta_y)
+    img = cone_operator_image(gamma, ctx)
     push = pushforward_degree(gamma, img, ctx)
     ring = img.ring
     x = ring.block_vars("x")
     p = cd.pivot
     cut = [x[i] for i in range(p, cd.nx)]
     S = Subscheme.saturated(img.ideal.with_extra(cut), ctx)
-    dgens = _delta_in_x(cd, delta_y, ring) + [cd.f_in(ring)]
-    D = Subscheme.saturated(Ideal(ring, dgens), ctx)
+    D = Subscheme(Ideal(ring, _delta_in_x(cd, delta_y, ring)))  # (c)
     # (e): the generators of D are x-forms, so every combination lies in m_x
     res_scheme = Subscheme(saturate(S.ideal, D.ideal, ctx))
     report = OperatorDegreeReport(total_degree=S.degree(ctx), pushforward_degree=push)
@@ -756,7 +762,7 @@ def join_support_matches_operator(
     """Operator image of delta vs the hypersurface sliced with the join of
     (delta inside projective space) and the twist line: same support."""
     cd, ctx = schemes.cd, schemes.ctx
-    img = cone_operator_image(schemes, delta_y)
+    img = cone_operator_image(operator_correspondence(schemes, delta_y), ctx)
     ring_x = cd.ring(cd.ambient_x())
     x = ring_x.gens()
     p = cd.pivot

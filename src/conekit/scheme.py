@@ -52,6 +52,15 @@ class Subscheme:
         associated primes that contain no m_b;
     (e) I : c^∞ with c in m_b, for each such block b;
     (f) blocks an earlier step already saturated (saturations commute).
+    Two lemmas let a caller skip a saturation whose result only feeds a
+    fibre or a Hilbert polynomial:
+    (g) fixing a block at a point ignores that block's saturation:
+        at_point(I, b = p) = at_point(I : m_b^∞, b = p) (see `at_point`);
+    (h) in one projective block, I and I : m^∞ agree in high degrees, so
+        their Hilbert polynomials are equal: `hilbert_data` reads the same
+        dimension and degree on both when the saturation has dimension
+        >= 0, and dimension -1 on both when the saturation is the unit
+        ideal.
     """
 
     __slots__ = ("ideal", "_hilbert")
@@ -193,6 +202,13 @@ def at_point(ideal: Ideal, at: Dict[str, Sequence]) -> Ideal:
     is a nonzerodivisor on (R'/I(p))[v_k], R' omitting b; eliminating b
     leaves I(p) (Cox, Little & O'Shea, ch. 4 §4).  An affine point is a
     plain substitution.
+
+    So I need not be saturated in b: any J with I ⊆ J ⊆ I : m_b^∞ has
+    J(p) = I(p).  With F the point forms, I + F ⊆ J + F ⊆ (I + F) : m_b^∞,
+    so both sums have the saturation (I + F) : m_b^∞; by the above that is
+    I(p) + F and J(p) + F, and eliminating b gives I(p) = J(p).  Fixing
+    another block at a point keeps I ⊆ J ⊆ I : m_b^∞ (g·m_b^N ⊆ I survives
+    the substitution), so no assigned block's saturation is needed.
     """
     ring = ideal.ring
     values = {ring.ambient.varnames[i]: ring.const(c) for block, coords in at.items()
@@ -201,10 +217,11 @@ def at_point(ideal: Ideal, at: Dict[str, Sequence]) -> Ideal:
     return Ideal(target, [g.map_vars({}, target) for g in substitute_all(ideal.gens, values)])
 
 
-def fiber(S: Subscheme, at: Dict[str, Sequence], ctx: EngineContext) -> Subscheme:
-    """Fiber of S over assigned block points, in the other blocks, saturated:
-    setting a block to a point can leave irrelevant components in the others."""
-    return Subscheme.saturated(at_point(S.ideal, at), ctx)
+def fiber(ideal: Ideal, at: Dict[str, Sequence], ctx: EngineContext) -> Subscheme:
+    """Fiber of V(I) over assigned block points, in the other blocks,
+    saturated: setting a block to a point can leave irrelevant components in
+    the others.  I need not be saturated in the assigned blocks (`at_point`)."""
+    return Subscheme.saturated(at_point(ideal, at), ctx)
 
 
 # ---------------------------------------------------------------------------

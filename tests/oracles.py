@@ -113,21 +113,24 @@ def is_component(S, C, ctx):
     return hilbert_data(removed, ctx).dimension == C.dimension(ctx)
 
 
+def exact_block_saturation(ideal, block, ctx):
+    """I : m_b^∞ with no random form: the intersection of the divide-outs
+    I : v^∞ over the block's variables v."""
+    parts = [saturate_by_poly(ideal, v, ctx) for v in ideal.ring.block_vars(block)]
+    return reduce(lambda a, b: intersect(a, b, ctx), parts)
+
+
 def fiber_by_elimination(ideal, at, ctx):
     """Oracle route to scheme.at_point: the cut by the point forms of each
-    assigned block, saturated by each assigned projective block's
+    assigned block, saturated exactly by each assigned projective block's
     irrelevant ideal, then with the assigned blocks eliminated.
-
-    The block saturation is exact: I : m_b^∞ is the intersection of the
-    divide-outs I : v^∞ over the block's variables v.
     """
     ring = ideal.ring
     cut = ideal.with_extra([g for block, coords in at.items()
                             for g in point_forms(ring, block, coords)])
     for block in at:
         if ring.ambient.block(block).projective:
-            parts = [saturate_by_poly(cut, v, ctx) for v in ring.block_vars(block)]
-            cut = reduce(lambda a, b: intersect(a, b, ctx), parts)
+            cut = exact_block_saturation(cut, block, ctx)
     return eliminate(cut, list(at), ctx)
 
 

@@ -705,10 +705,18 @@ def test_cli_verify_killed_pool_worker_exit_3(tmp_path):
 
 RUN_PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_presets.py")
 
-KILLED_PRESETS_WORKER_RUN = """
-import importlib.util, os, signal, sys
-from conekit import report
+# run_presets.main after a patch of conekit (the text of the patch follows)
+PATCHED_PRESETS_RUN = """
+import dataclasses, importlib.util, os, signal, sys
+from conekit import checks, report
+%s
+spec = importlib.util.spec_from_file_location("run_presets", sys.argv[1])
+run_presets = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run_presets)
+sys.exit(run_presets.main(sys.argv[2:]))
+"""
 
+KILLED_PRESETS_WORKER = """
 real_run_scenario = report.run_scenario
 
 def dying_run_scenario(cfg):
@@ -717,23 +725,42 @@ def dying_run_scenario(cfg):
     return real_run_scenario(cfg)
 
 report.run_scenario = dying_run_scenario
-spec = importlib.util.spec_from_file_location("run_presets", sys.argv[1])
-run_presets = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(run_presets)
-sys.exit(run_presets.main(sys.argv[2:]))
 """
+
+RAISING_EXPANSION_G = """
+def boom(cd, ctx):
+    raise ZeroDivisionError("injected")
+
+checks.CHECKS["expansion-g"] = dataclasses.replace(checks.CHECKS["expansion-g"], fn=boom)
+"""
+
+
+def _run_presets_patched(patch, *argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cone.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", PATCHED_PRESETS_RUN % patch, RUN_PRESETS]
+                          + list(argv), env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_run_presets_killed_pool_worker_exit_3(tmp_path):
     # exit 1 means a FAIL there, so a dead worker must not end in a traceback
-    argv = [RUN_PRESETS, "--jobs", "2", "--checks", "expansion-g", "--out-dir", str(tmp_path)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cone.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", KILLED_PRESETS_WORKER_RUN] + argv, env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = _run_presets_patched(KILLED_PRESETS_WORKER, "--jobs", "2", "--checks", "expansion-g",
+                                "--out-dir", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.count("internal error:") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_run_presets_check_that_raises_exit_3(tmp_path):
+    # every cell reads INCONCLUSIVE and none FAIL; this exited 0
+    proc = _run_presets_patched(RAISING_EXPANSION_G, "--checks", "expansion-g",
+                                "--out-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    cells = [c for path in sorted(tmp_path.iterdir())
+             for c in json.loads(path.read_text())["checks"]]
+    assert len(cells) == 6
+    assert all(c["status"] == INCONCLUSIVE for c in cells)
+    assert all(c["witnesses"][INTERNAL_ERROR] == "ZeroDivisionError: injected" for c in cells)
 
 
 def test_run_scenarios_pool_workers_do_not_fork(monkeypatch, two_cores):
@@ -819,6 +846,13 @@ def test_cli_cache_lifecycle(tmp_path, capsys, monkeypatch):
     assert "removed" in capsys.readouterr().out
     monkeypatch.delenv("CONEKIT_CACHE")
     assert main(["cache", "stats"]) == 2
+    assert capsys.readouterr().err.startswith("config error: no cache directory")
+    # a path under a file cannot be a directory; this ended in a traceback and exit 1
+    (tmp_path / "file").write_text("")
+    for action in ("stats", "clear", "verify"):
+        assert main(["cache", action, "--cache", str(tmp_path / "file" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cache-dir ") and err.count("\n") == 1, err
 
 
 def test_cache_detects_corruption(tmp_path, capsys):
@@ -867,9 +901,20 @@ def test_cli_gb_elim_order(tmp_path, capsys):
      "cannot load ideal: modulus 4 is not prime"),
     ({"blocks": [["x", 2]], "field": "Fp:31991", "gens": ["x0^2"]}, "elim:nosuch",
      "unknown block 'nosuch' in order 'elim:nosuch'"),
+    ({"blocks": [["x", 2]], "field": 5, "gens": ["x0^2"]}, "grevlex",
+     "cannot load ideal: field must be a string, not 5"),
+    ({"blocks": [["x", 2]], "gens": [1]}, "grevlex",
+     "cannot load ideal: gens must be a list of polynomial strings, not [1]"),
+    ({"blocks": [["x", 2]], "affine": 5, "gens": ["x0"]}, "grevlex",
+     "cannot load ideal: affine must be a list of block names, not 5"),
+    ({"blocks": [["x", 2]], "gens": "x0"}, "grevlex",
+     "cannot load ideal: gens must be a list of polynomial strings, not 'x0'"),
+    ({"blocks": [["x", 2]], "affine": ["nosuch"], "gens": ["x0"]}, "grevlex",
+     "cannot load ideal: affine names unknown block 'nosuch'"),
+    ([["x", 2]], "grevlex", "cannot load ideal: ideal file must hold a JSON object"),
 ])
 def test_cli_gb_bad_input_exit_2(tmp_path, capsys, ideal, order, message):
-    # each of these ended in a traceback and exit 1
+    # each of these ended in a traceback and exit 1, or was misread
     path = tmp_path / "ideal.json"
     path.write_text(json.dumps(ideal))
     assert main(["gb", "--ideal", str(path), "--order", order]) == 2

@@ -102,6 +102,14 @@ def test_covering_counts_projection_fibres():
         cone.covering_degree_report(cone.preset("cubic-3f-h2", CFG), CTX)
 
 
+def test_covering_fibre_keeps_both_points_at_seed_510():
+    # the second sample's fibre has two points; saturating it by a random
+    # linear form of x that vanishes at one of them (seed 510) read length 1
+    out = checks.check_w_covering(cone.preset("quadric-s2-h1", CFG), EngineContext(seed=510))
+    assert out.witnesses["fiber-counts"] == [2, 2, 2]
+    assert out.status == checks.PASS
+
+
 def test_pencil_is_linear_in_z():
     for name in ALL_PRESETS:
         rep = cone.expansion_pencil(cd := cone.preset(name, CFG))
@@ -317,7 +325,7 @@ def test_sigma_routes_match_theta_on_quadric(p):
     assert ideal_equal(lazy.ideal, eager.ideal, ctx)
     fiber_pair, diagonal_pair = cone.verify_diagonal_is_component(schemes)
     assert fiber_pair == diagonal_pair == (3, 6)
-    assert is_component(lazy, fiber(schemes.diagonal_part, at_one, ctx), ctx)
+    assert is_component(lazy, fiber(schemes.diagonal_part.ideal, at_one, ctx), ctx)
     # cone_family_end from theta: a collection whose sigma is theta
     delta = checks._point_delta_on_x(cd, ctx).coords
     from_theta = cone.ConeSchemes(cd, ctx)
@@ -364,6 +372,42 @@ def test_at_point_matches_elimination_at_every_check_cut(monkeypatch):
     for ideal, at in cuts.values():
         ctx = EngineContext(seed=0)
         assert ideal_equal(scheme.at_point(ideal, at), fiber_by_elimination(ideal, at, ctx), ctx)
+
+
+def test_formula_3_5_delta_is_its_saturation_with_f(monkeypatch):
+    # D, delta's linear ideal in x, holds f and equals the saturation of
+    # delta + f that formula-3-5 used to build, on every preset at both
+    # primes; each run builds the correspondence Gamma_delta once
+    recorded = []
+    builds = []
+    delta_in_x = cone._delta_in_x
+    correspondence = cone.operator_correspondence
+
+    def recording(cd, delta_y, ring):
+        gens = delta_in_x(cd, delta_y, ring)
+        recorded.append((cd, Ideal(ring, gens)))
+        return gens
+
+    def counting(schemes, delta_y):
+        builds[-1] += 1
+        return correspondence(schemes, delta_y)
+
+    monkeypatch.setattr(cone, "_delta_in_x", recording)
+    monkeypatch.setattr(cone, "operator_correspondence", counting)
+    for name in ALL_PRESETS:
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            cd = cone.preset(name, FieldConfig.parse("Fp:%d" % p))
+            ctx = EngineContext(seed=0)
+            builds.append(0)
+            checks.run_check("formula-3-5", cd, ctx, checks.certify_gate(cd, ctx))
+    monkeypatch.undo()
+    assert builds == [1] * 2 * len(ALL_PRESETS)
+    assert len(recorded) == 2 * len(ALL_PRESETS)
+    for cd, D in recorded:
+        ctx = EngineContext(seed=0)
+        f = cd.f_in(D.ring)
+        assert contains(D, f, ctx)
+        assert ideal_equal(D, Subscheme.saturated(D.with_extra([f]), ctx).ideal, ctx)
 
 
 def test_heavy_checks_reach_neither_theta_nor_is_component(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conekit import ideals, scheme as scheme_mod
 from conekit.fields import DEFAULT_PRIME, PrimeField
-from conekit.ideals import EngineContext, Ideal, contains, ideal_equal
+from conekit.ideals import EngineContext, Ideal, contains, hilbert_data, ideal_equal
 from conekit.ring import AmbientSpace, Block, PolyRing, poly_str
 from conekit.scheme import (
     RationalMapSpec,
@@ -25,7 +25,12 @@ from conekit.scheme import (
     _line_points,
     _univariate_roots,
 )
-from oracles import fiber_by_elimination, is_component, random_point_by_charts
+from oracles import (
+    exact_block_saturation,
+    fiber_by_elimination,
+    is_component,
+    random_point_by_charts,
+)
 
 FP = PrimeField(DEFAULT_PRIME)
 CTX = EngineContext(seed=0)
@@ -72,7 +77,7 @@ def test_fiber_with_projection():
     amb = AmbientSpace.product(("x", 2), ("y", 2))
     R = PolyRing(amb, FP)
     G = scheme(R, "x0^2*y1 - x1^2*y0")
-    F = fiber(G, {"y": (1, 1)}, CTX)
+    F = fiber(G.ideal, {"y": (1, 1)}, CTX)
     assert F.dimension(CTX) == 0
     assert F.degree(CTX) == 2
     assert contains(F.ideal, F.ring.parse("x0^2 - x1^2"), CTX)
@@ -82,7 +87,7 @@ def test_fiber_keeps_other_blocks():
     amb = AmbientSpace.product(("x", 2), ("y", 2))
     R = PolyRing(amb, FP)
     G = scheme(R, "x0*y1 - x1*y0")
-    F = fiber(G, {"x": (1, 2)}, CTX)
+    F = fiber(G.ideal, {"x": (1, 2)}, CTX)
     assert F.ambient == AmbientSpace.product(("y", 2))
     assert contains(F.ideal, F.ring.parse("y1 - 2*y0"), CTX)
 
@@ -91,9 +96,9 @@ def test_fiber_rejects_bad_points():
     R = PolyRing(AmbientSpace.product(("x", 2), ("y", 2)), FP)
     G = scheme(R, "x0*y1 - x1*y0")
     with pytest.raises(SchemeError, match="point has 3 coordinates"):
-        fiber(G, {"x": (1, 2, 3)}, CTX)
+        fiber(G.ideal, {"x": (1, 2, 3)}, CTX)
     with pytest.raises(SchemeError, match="all-zero projective point"):
-        fiber(G, {"x": (0, 0)}, CTX)
+        fiber(G.ideal, {"x": (0, 0)}, CTX)
 
 
 F7_RING = PolyRing(AmbientSpace.product(("a", 2), ("b", 3)), PrimeField(7))
@@ -131,8 +136,40 @@ def block_points(draw):
 @settings(max_examples=100, deadline=None)
 @given(bihomogeneous_ideals(), block_points())
 def test_at_point_matches_elimination_over_f7(ideal, at):
+    # and at_point reads the same ideal off I saturated in the assigned block
     ctx = EngineContext(seed=0)
-    assert ideal_equal(at_point(ideal, at), fiber_by_elimination(ideal, at, ctx), ctx)
+    fib = at_point(ideal, at)
+    assert ideal_equal(fib, fiber_by_elimination(ideal, at, ctx), ctx)
+    (block,) = at
+    assert ideal_equal(fib, at_point(exact_block_saturation(ideal, block, ctx), at), ctx)
+
+
+F7_PLANE = PolyRing(AmbientSpace.product(("v", 3)), PrimeField(7))
+
+
+@st.composite
+def plane_ideals(draw):
+    """Up to three forms of degree 1-3 in P^2 over F_7, each either kept or
+    replaced by its products with the three variables (which adds an
+    irrelevant component)."""
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = F7_PLANE.from_terms({m: draw(st.integers(0, 6))
+                                 for m in _monomials(3, draw(st.integers(1, 3)))})
+        gens += [g * v for v in F7_PLANE.gens()] if draw(st.booleans()) else [g]
+    return Ideal(F7_PLANE, [g for g in gens if not g.is_zero()] or [F7_PLANE.gens()[0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(plane_ideals())
+def test_hilbert_data_ignores_saturation_in_one_block(ideal):
+    # (h) of Subscheme: I and I : m^∞ share their Hilbert polynomial
+    ctx = EngineContext(seed=0)
+    sat = hilbert_data(exact_block_saturation(ideal, "v", ctx), ctx)
+    if sat.dimension >= 0:
+        assert hilbert_data(ideal, ctx) == sat
+    else:
+        assert hilbert_data(ideal, ctx).dimension == -1
 
 
 def test_is_component():
