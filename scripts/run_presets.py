@@ -15,13 +15,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from conekit.checks import CHECK_ORDER
 from conekit.cone import PRESETS
 from conekit.fields import DEFAULT_PRIME, SECOND_PRIME
 from conekit.report import (
     ScenarioConfig,
+    ScenarioWorkerDied,
     report_bytes,
     report_has_fail,
     report_has_internal_error,
@@ -61,7 +61,7 @@ def main(argv=None):
     configs = build_configs(args)
     try:
         reports = run_scenarios(configs, args.jobs)
-    except BrokenProcessPool as exc:
+    except ScenarioWorkerDied as exc:
         print("internal error: a scenario worker died: %s" % exc, file=sys.stderr)
         return 3
 

@@ -8,15 +8,14 @@ torn entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .fields import Field, PrimeField, QQ
-from .ring import AmbientSpace, Block, Poly, PolyRing
+from .fields import Field, PrimeField, QQ, sha256
+from .ring import AmbientSpace, Block, Poly, PolyRing, RingError
 
 
 def field_from_name(name: str) -> Field:
@@ -42,7 +41,7 @@ def basis_request_key(ring: PolyRing, order_name: str, gen_strs: Sequence[str]) 
 
 
 def _digest(key_str: str) -> str:
-    return hashlib.sha256(key_str.encode()).hexdigest()
+    return sha256(key_str.encode()).hexdigest()
 
 
 class BasisCache:
@@ -56,6 +55,10 @@ class BasisCache:
         return self.root / (digest + ".json")
 
     def get(self, key_str: str, ring: PolyRing) -> Optional[List[Poly]]:
+        """The basis stored under `key_str`, parsed in `ring`, or None.
+
+        A missing, torn or malformed entry is a miss, so the caller
+        recomputes the basis and `put` rewrites the entry."""
         path = self._path(_digest(key_str))
         if not path.exists():
             return None
@@ -63,9 +66,15 @@ class BasisCache:
             entry = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
             return None
-        if entry.get("key") != key_str:
-            return None  # hash collision or foreign file
-        return [ring.parse(s) for s in entry["basis"]]
+        if not isinstance(entry, dict) or entry.get("key") != key_str:
+            return None  # not an entry, a hash collision or a foreign file
+        basis = entry.get("basis")
+        if not isinstance(basis, list) or not all(isinstance(s, str) for s in basis):
+            return None
+        try:
+            return [ring.parse(s) for s in basis]
+        except (RingError, ZeroDivisionError):  # ZeroDivisionError: a coefficient a/0
+            return None
 
     def put(self, key_str: str, basis_strs: Sequence[str]) -> None:
         entry = {"key": key_str, "basis": list(basis_strs)}

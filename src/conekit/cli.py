@@ -8,7 +8,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional, Tuple
 
 from .cache import BasisCache
@@ -18,6 +17,7 @@ from .groebner import DEFAULT_CAPS, buchberger
 from .report import (
     ConfigError,
     ScenarioConfig,
+    ScenarioWorkerDied,
     load_scenario,
     report_bytes,
     report_has_fail,
@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
         return 2
     try:
         reports = run_scenarios(configs, args.jobs)
-    except BrokenProcessPool as exc:
+    except ScenarioWorkerDied as exc:
         print("internal error: a scenario worker died: %s" % exc, file=sys.stderr)
         return 3
     any_fail = any_error = False

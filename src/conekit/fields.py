@@ -10,10 +10,19 @@ coefficients reduces its result once by ``% p`` when ``p`` is nonzero.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+# hashlib loads libcrypto, several MiB per process, for a few short digests;
+# the interpreter's builtin module gives the same bytes
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class FieldError(Exception):
@@ -23,7 +32,7 @@ class FieldError(Exception):
 def seeded_rng(seed: int, *tag) -> random.Random:
     """Deterministic per-purpose stream, decoupled from other draws."""
     # hash() on strings is salted per process; derive a stable seed
-    digest = hashlib.sha256(repr((seed,) + tag).encode()).digest()
+    digest = sha256(repr((seed,) + tag).encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

@@ -40,6 +40,10 @@ class ConfigError(Exception):
     pass
 
 
+class ScenarioWorkerDied(Exception):
+    """A run_scenarios pool worker died before it answered its scenario."""
+
+
 # each resource cap: its key in a scenario's "caps" object, its ResourceCaps field
 CAP_KEYS = (
     ("max-basis", "max_basis"),
@@ -326,14 +330,21 @@ def run_scenarios(configs: List[ScenarioConfig], jobs: int) -> List[dict]:
     A pool worker runs its second primes in-process: a forked child would
     only take turns with the other workers for the cores.
 
-    A pool worker that dies (say, to the OOM killer) raises
-    concurrent.futures.process.BrokenProcessPool here rather than leaving
-    its task unanswered."""
+    A pool worker that dies (say, to the OOM killer) makes the pool raise
+    concurrent.futures.process.BrokenProcessPool rather than leave its task
+    unanswered; it is raised here as ScenarioWorkerDied, with the same
+    message.  The pool machinery (multiprocessing, pickle, socket and
+    more) is imported only on this path, so a serial run never loads it."""
     if jobs > 1 and len(configs) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(min(jobs, len(configs)), initializer=_pool_worker_init) as pool:
-            return list(pool.map(run_scenario, configs))
+        try:
+            with ProcessPoolExecutor(min(jobs, len(configs)),
+                                     initializer=_pool_worker_init) as pool:
+                return list(pool.map(run_scenario, configs))
+        except BrokenProcessPool as exc:
+            raise ScenarioWorkerDied(str(exc)) from exc
     return [run_scenario(c) for c in configs]
 
 

@@ -1,6 +1,8 @@
 """Check runner, scenario config, report determinism, and the CLI."""
 
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import signal
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -751,6 +754,29 @@ def test_run_presets_killed_pool_worker_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+IMPORT_FLOOR_RUN = """
+import importlib.util, json, sys
+import conekit, conekit.report, conekit.checks, conekit.cli
+spec = importlib.util.spec_from_file_location("run_presets", sys.argv[1])
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_import_loads_neither_hashlib_nor_pool_machinery():
+    # a fresh interpreter, since pytest and hypothesis import hashlib here;
+    # libcrypto and the process pool cost a serial run several MiB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cone.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_FLOOR_RUN, RUN_PRESETS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "conekit.cli" in loaded
+    heavy = {"hashlib", "_hashlib", "multiprocessing", "concurrent.futures"}
+    assert not heavy & loaded
+
+
 def test_run_presets_check_that_raises_exit_3(tmp_path):
     # every cell reads INCONCLUSIVE and none FAIL; this exited 0
     proc = _run_presets_patched(RAISING_EXPANSION_G, "--checks", "expansion-g",
@@ -786,6 +812,26 @@ def test_run_scenarios_pool_workers_do_not_fork(monkeypatch, two_cores):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "fork", _must_not_fork)
     assert [report_bytes(r) for r in report.run_scenarios(cfgs, 2)] == serial
+
+
+def test_run_scenario_retains_no_memory(monkeypatch):
+    # five scenarios after a warm-up keep none of their work: a memo or a
+    # cache shared across scenarios would hold about 530 KiB per seed here
+    monkeypatch.setattr(report, "_FORK_SECOND_PRIME", False)  # trace both primes
+    light = tuple(c for c in CHECK_ORDER if c not in ("prop-2-1", "prop-2-6"))
+    cfgs = [fast_cfg(checks=light, seed=seed) for seed in range(6)]
+    run_scenario(cfgs[0])
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for cfg in cfgs[1:]:
+            run_scenario(cfg)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
 
 
 @pytest.mark.parametrize("jobs,n_configs", [(1, 2), (3, 1)])
@@ -865,6 +911,48 @@ def test_cache_detects_corruption(tmp_path, capsys):
     entry.write_text("{broken")
     assert main(["cache", "verify", "--cache", str(cache_dir)]) == 1
     assert "corrupt" in capsys.readouterr().out
+
+
+# entries that parse as JSON but are not an entry; KEY stands for the entry's own key
+MALFORMED_ENTRIES = [
+    "[]",                                  # raised AttributeError at entry.get
+    '{"key": KEY}',                        # no basis: raised KeyError
+    '{"key": KEY, "basis": ["x0^"]}',      # raised RingError
+    '{"key": KEY, "basis": ["1/0"]}',      # raised ZeroDivisionError
+    '{"key": KEY, "basis": [5]}',          # raised TypeError
+]
+
+
+@pytest.mark.parametrize("malformed", MALFORMED_ENTRIES)
+def test_malformed_cache_entry_is_a_miss(tmp_path, capsys, malformed):
+    # each used to read INCONCLUSIVE with a traceback and exit 3
+    argv = ["verify", "--scenario", "quadric-s2-h1", "--checks", "prop-2-5"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    cache_dir = str(tmp_path / "cache")
+    assert main(argv + ["--cache", cache_dir]) == 0
+    capsys.readouterr()
+    for path in BasisCache(cache_dir).entries():
+        key = json.loads(path.read_text())["key"]
+        path.write_text(malformed.replace("KEY", json.dumps(key)))
+    assert main(["cache", "verify", "--cache", cache_dir]) == 1
+    assert "corrupt:" in capsys.readouterr().out
+    assert main(argv + ["--cache", cache_dir]) == 0
+    out, err = capsys.readouterr()
+    assert out == cold
+    assert "Traceback" not in err
+    # each miss recomputed its basis and rewrote the entry
+    assert main(["cache", "verify", "--cache", cache_dir]) == 0
+    assert "corrupt:" not in capsys.readouterr().out
+
+
+def test_cache_reads_entries_named_by_hashlib(tmp_path):
+    # entries written when cache.py named them with hashlib.sha256 keep hitting
+    ring = PolyRing(AmbientSpace.product(("x", 2)), PrimeField(DEFAULT_PRIME))
+    key = basis_request_key(ring, "grevlex", ["x0^2", "x0*x1"])
+    name = hashlib.sha256(key.encode()).hexdigest() + ".json"
+    (tmp_path / name).write_text(json.dumps({"key": key, "basis": ["x0^2", "x0*x1"]}))
+    assert BasisCache(tmp_path).get(key, ring) == [ring.parse("x0^2"), ring.parse("x0*x1")]
 
 
 def test_cli_gb(tmp_path, capsys):

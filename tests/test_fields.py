@@ -4,13 +4,19 @@ The arithmetic itself is Python's; these tests cover what differs between
 Q and F_p.
 """
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import fields
 from conekit.fields import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -124,3 +130,36 @@ def test_sample_nonzero_never_zero():
         assert 0 < a < DEFAULT_PRIME
         q = QQ.sample_nonzero(rng)
         assert isinstance(q, Fraction) and q != 0
+
+
+RNG_TAGS = ((0, ()), (7, ("combo", 0)), (1, ("e0", 31991)))
+
+# seeded_rng draws at RNG_TAGS, a cache digest, and whether hashlib was
+# loaded, as JSON; its %s takes a patch of sys.modules
+DIGESTS_RUN = """
+import json, sys
+%s
+from conekit import cache, fields
+print(json.dumps([[fields.seeded_rng(seed, *tag).randrange(10**9) for seed, tag in %r],
+                  cache._digest('{"field":"Fp:31991"}'), "hashlib" in sys.modules]))
+"""
+
+
+def test_sha256_fallback_gives_hashlib_digests():
+    # with neither builtin module (_sha2 from 3.12, _sha256 before), fields
+    # takes hashlib's sha256, whose digests and draws are the same
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fields.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for patch in ("", 'sys.modules["_sha2"] = sys.modules["_sha256"] = None'):
+        proc = subprocess.run([sys.executable, "-c", DIGESTS_RUN % (patch, RNG_TAGS)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    (builtin_draws, builtin_digest, builtin_hashlib), (draws, digest, fallback_hashlib) = runs
+    expected = [random.Random(int.from_bytes(
+        hashlib.sha256(repr((seed,) + tag).encode()).digest()[:8], "big")).randrange(10**9)
+        for seed, tag in RNG_TAGS]
+    assert builtin_draws == draws == expected
+    assert builtin_digest == digest == hashlib.sha256(b'{"field":"Fp:31991"}').hexdigest()
+    assert (builtin_hashlib, fallback_hashlib) == (False, True)
