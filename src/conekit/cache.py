@@ -73,7 +73,7 @@ class BasisCache:
             return None
         try:
             return [ring.parse(s) for s in basis]
-        except (RingError, ZeroDivisionError):  # ZeroDivisionError: a coefficient a/0
+        except RingError:
             return None
 
     def put(self, key_str: str, basis_strs: Sequence[str]) -> None:

@@ -703,8 +703,10 @@ def verify_operator_degree_split(
     as `excess` and nothing is split.
 
     Gamma_delta is built once; the image and the pushforward degree both
-    read it.  S, the image cut by the plane section, is saturated: cutting
-    a saturated ideal by linear forms can leave an irrelevant component.
+    read it.  S, the image cut by the plane section, is read unsaturated,
+    by case (i) of `Subscheme`: through its dimension and degree, radicals,
+    and saturations by D and the residual, both inside m_x; delta keeps
+    the cut nonempty.
     D is delta's linear ideal in x, case (c) of `Subscheme`.  It leaves f
     out: delta lies in the plane section V^h ⊆ X, so f is in I(delta), and
     with f among D's generators the random combination that saturates S by
@@ -717,7 +719,7 @@ def verify_operator_degree_split(
     x = ring.block_vars("x")
     p = cd.pivot
     cut = [x[i] for i in range(p, cd.nx)]
-    S = Subscheme.saturated(img.ideal.with_extra(cut), ctx)
+    S = Subscheme(img.ideal.with_extra(cut))  # (i)
     D = Subscheme(Ideal(ring, _delta_in_x(cd, delta_y, ring)))  # (c)
     # (e): the generators of D are x-forms, so every combination lies in m_x
     res_scheme = Subscheme(saturate(S.ideal, D.ideal, ctx))
@@ -772,7 +774,7 @@ def join_support_matches_operator(
     if cd.h != 1:
         raise ConeDataError("join comparison is defined for h = 1")
     line = Subscheme(Ideal(ring_x, line_gens))  # (c)
-    joined = join(delta_big, line, ctx)
+    joined = join(delta_big, line)
     sliced = Subscheme.saturated(
         joined.ideal.with_extra([cd.f_in(ring_x)]), ctx
     )

@@ -581,6 +581,12 @@ class _Parser:
         self.i += 1
         return tok
 
+    def coeff(self, literal: str):
+        try:  # a zero denominator is bad input, as an unreadable literal is
+            return self.ring.field.coeff_parse(literal)
+        except ZeroDivisionError:
+            raise RingError("zero denominator in coefficient %r" % literal) from None
+
     def parse_expr(self) -> Poly:
         # expr := ['+'|'-'] term (('+'|'-') term)*, summed into one terms dict
         out: Dict[Monomial, object] = {}
@@ -611,7 +617,7 @@ class _Parser:
         while True:
             kind, val = self.next()
             if kind == "num":
-                c = F.coeff_parse(val)
+                c = self.coeff(val)
                 e = self.parse_exponent()
                 coeff = coeff * (pow(c, e, p) if p else c ** e)
             elif kind == "var":
@@ -653,7 +659,7 @@ class _Parser:
     def parse_atom(self) -> Poly:
         kind, val = self.next()
         if kind == "num":
-            return self.ring.const(self.ring.field.coeff_parse(val))
+            return self.ring.const(self.coeff(val))
         if kind == "var":
             return self.ring.var(val)
         if (kind, val) == ("op", "("):

@@ -3,7 +3,8 @@ projective spaces, graph closures of rational maps, fibers, unions,
 multiplicities, joins, and point search.  A fibre over a point substitutes
 the point (`at_point`) rather than cutting, saturating and eliminating.  A
 point search whose slices cut a line reads the points from one binary form
-(`_line_points`) rather than from a lex basis for each affine chart.
+(`_line_points`) rather than from a lex basis for each affine chart.  The
+join of two linear spaces is their span, by row reduction (`join`).
 """
 
 from __future__ import annotations
@@ -17,15 +18,13 @@ from .ideals import (
     EngineContext,
     HilbertData,
     Ideal,
-    eliminate,
-    fresh_block_name,
     hilbert_data,
     intersect,
     multisaturate,
     radical_equal,
     saturate,
 )
-from .linalg import kernel_basis
+from .linalg import kernel_basis, rref
 from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, substitute_all
 
 
@@ -52,15 +51,22 @@ class Subscheme:
         associated primes that contain no m_b;
     (e) I : c^∞ with c in m_b, for each such block b;
     (f) blocks an earlier step already saturated (saturations commute).
-    Two lemmas let a caller skip a saturation whose result only feeds a
-    fibre or a Hilbert polynomial:
+    Three lemmas let a caller skip a saturation whose result only feeds a
+    fibre, a Hilbert polynomial, a radical or a further saturation:
     (g) fixing a block at a point ignores that block's saturation:
         at_point(I, b = p) = at_point(I : m_b^∞, b = p) (see `at_point`);
     (h) in one projective block, I and I : m^∞ agree in high degrees, so
         their Hilbert polynomials are equal: `hilbert_data` reads the same
         dimension and degree on both when the saturation has dimension
         >= 0, and dimension -1 on both when the saturation is the unit
-        ideal.
+        ideal;
+    (i) in one projective block, with V(I) nonempty, `hilbert_data` (by
+        (h)), `radical_equal` (m is no minimal prime of I, so √I = √(I : m^∞))
+        and a saturation by J ⊆ m ((I : m^∞) : J^∞ = I : J^∞, as
+        g·J^k·m^N ⊆ I gives g·J^(k+N) ⊆ I) read I as they read I : m^∞.
+        The random element `saturate` draws is tagged by the ideal, so it
+        differs, but it can miss only at an associated prime that does not
+        contain J, and m, the one prime I may add, contains J.
     """
 
     __slots__ = ("ideal", "_hilbert")
@@ -272,58 +278,36 @@ def component_multiplicity(
 # join
 
 
-def join(A: Subscheme, B: Subscheme, ctx: EngineContext) -> Subscheme:
-    """Closure of the union of lines meeting A and B in one projective space.
+def join(A: Subscheme, B: Subscheme) -> Subscheme:
+    """The join of two linear subspaces of one projective space: their span
+    (Harris, *Algebraic Geometry: A First Course*, GTM 133).
 
-    Built from the incidence ideal: x collinear with p ∈ A and q ∈ B
-    (3x3 minors of the stacked coordinate matrix), then p, q eliminated.
+    Its ideal is generated by the linear forms vanishing on both kernels,
+    in reduced row echelon form: with x0 > x1 > ... the pivots are the lead
+    terms, so the rows are the reduced grevlex basis, case (c).  A generator that is not
+    linear raises SchemeError.  The incidence route, lines through p ∈ A
+    and q ∈ B with p ≠ q (`tests/oracles.py::incidence_join`), is empty on
+    one point joined with itself, where the span is the point; where A
+    meets B it gives the same ideal with other generators, which would
+    print differently in a slice of the join.  No checked seed draws delta
+    on the twist line.
     """
     if A.ambient != B.ambient:
         raise SchemeError("join across different ambients")
     amb = A.ambient
     if len(amb.blocks) != 1 or not amb.blocks[0].projective:
         raise SchemeError("join needs a single projective factor")
-    blk = amb.blocks[0]
-    n = blk.size
-    p_name = fresh_block_name(amb, "jp")
-    q_name = fresh_block_name(amb, "jq")
-    big = AmbientSpace(
-        (blk, Block(p_name, n, projective=True), Block(q_name, n, projective=True))
-    )
-    ring = PolyRing(big, A.ring.field)
-    x = ring.block_vars(blk.name)
-    p = ring.block_vars(p_name)
-    q = ring.block_vars(q_name)
-    gens: List[Poly] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                gens.append(_det3(x, p, q, (i, j, k)))
-    rename_p = {blk.name + str(i): p_name + str(i) for i in range(n)}
-    rename_q = {blk.name + str(i): q_name + str(i) for i in range(n)}
-    gens += [g.map_vars(rename_p, ring) for g in A.ideal.gens]
-    gens += [g.map_vars(rename_q, ring) for g in B.ideal.gens]
-    incidence = Ideal(ring, gens)
-    # remove the degenerate locus where the two endpoint points coincide
-    # (there every x satisfies the minors); (e): every combination of the
-    # minors lies in both m_p and m_q, so this also removes the endpoint
-    # block cones
-    diag = Ideal(
-        ring,
-        [p[i] * q[j] - p[j] * q[i] for i in range(n) for j in range(i + 1, n)],
-    )
-    incidence = saturate(incidence, diag, ctx)
-    # eliminating p and q leaves the ideal in A's ring
-    return Subscheme.saturated(eliminate(incidence, [p_name, q_name], ctx), ctx)
-
-
-def _det3(r0: List[Poly], r1: List[Poly], r2: List[Poly], cols: Tuple[int, int, int]) -> Poly:
-    i, j, k = cols
-    return (
-        r0[i] * (r1[j] * r2[k] - r1[k] * r2[j])
-        - r0[j] * (r1[i] * r2[k] - r1[k] * r2[i])
-        + r0[k] * (r1[i] * r2[j] - r1[j] * r2[i])
-    )
+    ring = A.ring
+    F = ring.field
+    n = ring.nvars
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    points: List[List] = []
+    for S in (A, B):
+        if any(g.total_degree() != 1 for g in S.ideal.gens):
+            raise SchemeError("join needs linear subspaces")
+        points += kernel_basis(F, [[g.terms.get(m, F.zero) for m in units] for g in S.ideal.gens], n)
+    forms, _ = rref(F, kernel_basis(F, points, n))
+    return Subscheme(Ideal(ring, [ring.from_terms(dict(zip(units, row))) for row in forms]))  # (c)
 
 
 # ---------------------------------------------------------------------------

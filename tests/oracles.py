@@ -8,19 +8,22 @@ from math import comb
 
 from conekit import groebner
 from conekit.ideals import (
+    Ideal,
     contains_ideal,
     eliminate,
+    fresh_block_name,
     hilbert_data,
     intersect,
     radical_member,
     saturate,
     saturate_by_poly,
 )
-from conekit.ring import AmbientSpace, RingError
+from conekit.ring import AmbientSpace, Block, PolyRing, RingError
 from conekit.scheme import (
     POINT_TRIALS,
     PointWitness,
     SchemeError,
+    Subscheme,
     _zero_dim_point,
     point_forms,
 )
@@ -172,3 +175,36 @@ def random_point_by_charts(S, ctx):
                 )
                 return PointWitness(block=blk.name, coords=coords)
     return None
+
+
+def incidence_join(A, B, ctx):
+    """Oracle route to scheme.join, for any A and B in one projective space:
+    the closure of the union of lines through p ∈ A and q ∈ B, p ≠ q.
+
+    x is collinear with p and q where the 3x3 minors of the stacked
+    coordinate matrix vanish; saturating by the endpoint diagonal drops the
+    pairs p = q, where every x satisfies the minors (a Monte Carlo
+    saturation, so use a large prime), and eliminating p and q leaves the
+    join.  One point joined with itself is therefore empty here.
+    """
+    amb = A.ambient
+    blk = amb.blocks[0]
+    n = blk.size
+    p_name = fresh_block_name(amb, "jp")
+    q_name = fresh_block_name(amb, "jq")
+    big = AmbientSpace((blk, Block(p_name, n, projective=True), Block(q_name, n, projective=True)))
+    ring = PolyRing(big, A.ring.field)
+    x, p, q = (ring.block_vars(b) for b in (blk.name, p_name, q_name))
+    gens = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                gens.append(x[i] * (p[j] * q[k] - p[k] * q[j])
+                            - x[j] * (p[i] * q[k] - p[k] * q[i])
+                            + x[k] * (p[i] * q[j] - p[j] * q[i]))
+    for name, S in ((p_name, A), (q_name, B)):
+        rename = {blk.name + str(i): name + str(i) for i in range(n)}
+        gens += [g.map_vars(rename, ring) for g in S.ideal.gens]
+    diag = Ideal(ring, [p[i] * q[j] - p[j] * q[i] for i in range(n) for j in range(i + 1, n)])
+    incidence = saturate(Ideal(ring, gens), diag, ctx)
+    return Subscheme.saturated(eliminate(incidence, [p_name, q_name], ctx), ctx)

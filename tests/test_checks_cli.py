@@ -559,6 +559,11 @@ def test_run_check_without_report_guards_the_gate():
      "cone-data needs integer n, h and text f, not {'n': 2.5, 'h': 1, 'f': 'x0^2'}"),
     ({"n": 2, "h": True, "f": "x0^2"},
      "cone-data needs integer n, h and text f, not {'n': 2, 'h': True, 'f': 'x0^2'}"),
+    ({"n": 2, "h": 1, "f": "1/0*x0^2 + x1^2 + x2^2 + x3^2"},
+     "f: zero denominator in coefficient '1/0'"),
+    # 31991 is the default field's modulus, so this denominator is 0 there
+    ({"n": 2, "h": 1, "f": "1/31991*x0^2 + x1^2 + x2^2 + x3^2"},
+     "f: zero denominator in coefficient '1/31991'"),
 ])
 def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     # before validation these ended in a traceback and exit 1, the code that
@@ -1000,6 +1005,10 @@ def test_cli_gb_elim_order(tmp_path, capsys):
     ({"blocks": [["x", 2]], "affine": ["nosuch"], "gens": ["x0"]}, "grevlex",
      "cannot load ideal: affine names unknown block 'nosuch'"),
     ([["x", 2]], "grevlex", "cannot load ideal: ideal file must hold a JSON object"),
+    ({"blocks": [["x", 2]], "field": "Q", "gens": ["1/0*x0"]}, "grevlex",
+     "cannot load ideal: zero denominator in coefficient '1/0'"),
+    ({"blocks": [["x", 2]], "field": "Fp:31991", "gens": ["x0 + 1/31991*x1"]}, "grevlex",
+     "cannot load ideal: zero denominator in coefficient '1/31991'"),
 ])
 def test_cli_gb_bad_input_exit_2(tmp_path, capsys, ideal, order, message):
     # each of these ended in a traceback and exit 1, or was misread

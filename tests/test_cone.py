@@ -7,10 +7,18 @@ from hypothesis import strategies as st
 from conekit import checks, cone, scheme
 from conekit.checks import FAIL
 from conekit.fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField
-from conekit.ideals import EngineContext, Ideal, contains, ideal_equal, multisaturate
+from conekit.ideals import (
+    EngineContext,
+    Ideal,
+    contains,
+    hilbert_data,
+    ideal_equal,
+    multisaturate,
+    saturate,
+)
 from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
-from conekit.scheme import Subscheme, fiber
+from conekit.scheme import Subscheme, component_multiplicity, fiber, union_certify
 import oracles
 from oracles import expansion_pencil_taylor, fiber_by_elimination, is_component
 
@@ -408,6 +416,64 @@ def test_formula_3_5_delta_is_its_saturation_with_f(monkeypatch):
         f = cd.f_in(D.ring)
         assert contains(D, f, ctx)
         assert ideal_equal(D, Subscheme.saturated(D.with_extra([f]), ctx).ideal, ctx)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except scheme.SchemeError as exc:
+        return "SchemeError: %s" % exc
+
+
+def assert_cut_read_as_its_saturation(cut, delta, ctx):
+    """Each reader of formula-3-5's S gives the same on the cut and on its
+    saturation; returns whether the cut is proper."""
+    S, T = Subscheme(cut), Subscheme.saturated(cut, ctx)
+    D = Subscheme(delta)  # (c)
+    assert S.hilbert(ctx) == T.hilbert(ctx)
+    res = saturate(S.ideal, D.ideal, ctx)
+    assert ideal_equal(res, saturate(T.ideal, D.ideal, ctx), ctx)
+    others = [Subscheme(res)] if hilbert_data(res, ctx).dimension >= 0 else []  # (e)
+    assert union_certify(S, [D] + others, ctx) == union_certify(T, [D] + others, ctx)
+    mult = _outcome(component_multiplicity, S, D, others, ctx)
+    assert mult == _outcome(component_multiplicity, T, D, others, ctx)
+    return S.dimension(ctx) == D.dimension(ctx)
+
+
+def test_formula_3_5_reads_its_cut_as_its_saturation(monkeypatch):
+    # case (i) of Subscheme: S, the image cut by the plane section, is read
+    # unsaturated; each of its readers gives what it gives on S's
+    # saturation, on every preset at both primes
+    cuts = []
+    saturate_in_cone = cone.saturate
+
+    def recording(ideal, target, ctx):
+        cuts.append((ideal, target))
+        return saturate_in_cone(ideal, target, ctx)
+
+    monkeypatch.setattr(cone, "saturate", recording)
+    for name in ALL_PRESETS:
+        for p in (DEFAULT_PRIME, SECOND_PRIME):
+            cd = cone.preset(name, FieldConfig.parse("Fp:%d" % p))
+            ctx = EngineContext(seed=0)
+            checks.run_check("formula-3-5", cd, ctx, checks.certify_gate(cd, ctx))
+    monkeypatch.undo()
+    assert len(cuts) == 2 * len(ALL_PRESETS)
+    proper = [assert_cut_read_as_its_saturation(cut, delta, EngineContext(seed=0))
+              for cut, delta in cuts]
+    # the cubics cut properly, the quadric (e0 on X) improperly
+    assert proper.count(True) == 4
+
+
+def test_a_cut_that_is_not_saturated_is_read_as_its_saturation():
+    # every preset's cut happens to be saturated; two skew lines in P^3 cut
+    # by a plane are not (degree 1 holds three forms, two points hold two)
+    R = PolyRing(AmbientSpace.product(("x", 4)), FP)
+    lines = Ideal(R, [R.parse(t) for t in ("x0*x2", "x0*x3", "x1*x2", "x1*x3")])
+    cut = lines.with_extra([R.parse("x0 + x1 + x2 + x3")])
+    point = Ideal(R, [R.parse(t) for t in ("x0", "x1", "x2 + x3")])
+    assert not ideal_equal(cut, multisaturate(cut, CTX), CTX)
+    assert assert_cut_read_as_its_saturation(cut, point, CTX)
 
 
 def test_heavy_checks_reach_neither_theta_nor_is_component(monkeypatch):

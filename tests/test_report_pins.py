@@ -2,11 +2,14 @@
 
 The sha256 of each report of the seven light checks (every check but the
 heavy prop-2-1 and prop-2-6) on the three presets at both standard primes
-and over Q, seed 0.  A change that is meant to keep reports byte-identical must keep
+and over Q, seed 0; of the heavy checks; and of the two operator-image
+checks on the scenario corpus in tests/corpus.  A change that is meant to keep reports byte-identical must keep
 these hashes; one that changes a report on purpose records new ones.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +91,37 @@ def test_heavy_cubic_report_bytes_pinned(preset, prime):
     rep = heavy_report(preset, prime)
     assert [c["status"] for c in rep["checks"]] == ["PASS", "PASS"]
     assert hashlib.sha256(report_bytes(rep)).hexdigest() == PINNED_HEAVY_CUBIC[(preset, prime)]
+
+
+# example-3-2 and formula-3-5 on the scenarios of tests/corpus, off the
+# presets, at both standard primes, seed 0.  Recorded before the join became
+# a span and formula-3-5 stopped saturating its cut, which kept every byte.
+CORPUS = Path(__file__).parent / "corpus"
+
+PINNED_CORPUS = {
+    ("cubic-3f-nondiagonal-h1", DEFAULT_PRIME): "ad7a451e4c2c86592e2d544b08c68df7e8c9d574a87fd6851400697dc6e7fbc7",
+    ("cubic-3f-nondiagonal-h1", SECOND_PRIME): "1849b33b75be8f31a9c78bad9349a8c073ff0a46fceb451d0d89cb5de290d99d",
+    ("cubic-4f-h1", DEFAULT_PRIME): "540319f4923c1e5109de89b6d5a35b8efbfab03ad0a3b0dd21dc65c4debe4a42",
+    ("cubic-4f-h1", SECOND_PRIME): "f0f146c549f1bd53558b0d634bfc3415f07536e44fafb5923e90c55ac4d61744",
+    ("cubic-4f-h2", DEFAULT_PRIME): "cac3d304819979e6874070875da7f8adcd95275a90d5e1cab7e10854fc91abe8",
+    ("cubic-4f-h2", SECOND_PRIME): "58b9d997f36aa023d8c411aa1e33358640bd08bbbdf417d8811bf3c4f419bbf9",
+    ("quadric-s2-generic-h1", DEFAULT_PRIME): "968d5f10e3d93df425bdd8cbdc79b4d36c4a4569a72dfc8b68884aac776588ed",
+    ("quadric-s2-generic-h1", SECOND_PRIME): "f9c448e4d2e3ef63f17125afea2cfeb54098f1d1abb29ea2b36222db4caf11f3",
+    ("quartic-3f-h1", DEFAULT_PRIME): "00b1f921df652d5f096046d9443b4ddb607f8c52bb2972d4c9d0a54f466d1e0e",
+    ("quartic-3f-h1", SECOND_PRIME): "c72a360aa38e8fe8787bb04a3bebbcf171b3a56d5f33c6e5bd7d5a202abc7737",
+    ("quartic-s2-h1", DEFAULT_PRIME): "a7cfde05ea1e53104730d795a5fcc8d4ae57a5e306b9ed5f7c63e9cfd7faa584",
+    ("quartic-s2-h1", SECOND_PRIME): "8e5e949119962d6e35c95751ef22e4cc0eabc640eeabe7c1df3039f1d87933ae",
+}
+
+
+def test_corpus_is_pinned():
+    assert sorted(p.stem for p in CORPUS.glob("*.json")) == sorted({n for n, _ in PINNED_CORPUS})
+
+
+@pytest.mark.parametrize("name,prime", sorted(PINNED_CORPUS))
+def test_corpus_report_bytes_pinned(name, prime):
+    scenario = json.loads((CORPUS / (name + ".json")).read_text())
+    cfg = ScenarioConfig.from_dict(dict(scenario, field="Fp:%d" % prime,
+                                        checks=["example-3-2", "formula-3-5"], seed=0))
+    digest = hashlib.sha256(report_bytes(run_scenario(cfg))).hexdigest()
+    assert digest == PINNED_CORPUS[(name, prime)]

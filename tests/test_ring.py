@@ -195,10 +195,14 @@ def test_parse_errors(text, message):
 
 
 def test_parse_division_by_zero_coefficient():
-    with pytest.raises(ZeroDivisionError):
+    # bad input, like any other unreadable literal, so callers that map
+    # RingError to a config error need no second except clause
+    with pytest.raises(RingError, match="zero denominator"):
         R3.parse("x0 + 1/%d*x1" % DEFAULT_PRIME)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(RingError, match="zero denominator"):
         RQ.parse("1/0*x0")
+    with pytest.raises(RingError, match="zero denominator"):
+        RQ.parse("(x0 + 1/0)*x1")
 
 
 def spec_key(order, nvars):

@@ -33,7 +33,9 @@ BAD = {
         st.fixed_dictionaries({
             "n": st.one_of(st.integers(-1, 3), anything_wrong),
             "h": st.one_of(st.integers(-1, 3), anything_wrong),
-            "f": st.one_of(st.sampled_from(["x0^2 + x1", "x0 - x0", "x0^2 +", "q7^2", ""]),
+            "f": st.one_of(st.sampled_from(["x0^2 + x1", "x0 - x0", "x0^2 +", "q7^2", "",
+                                            "1/0*x0^2 + x1^2 + x2^2 + x3^2",
+                                            "1/31991*x0^2 + x1^2 + x2^2 + x3^2"]),
                            anything_wrong),
         }),
         anything_wrong,

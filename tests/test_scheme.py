@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conekit import ideals, scheme as scheme_mod
-from conekit.fields import DEFAULT_PRIME, PrimeField
+from conekit import cone, ideals, scheme as scheme_mod
+from conekit.checks import run_check
+from conekit.cone import preset as preset_data
+from conekit.fields import DEFAULT_PRIME, SECOND_PRIME, FieldConfig, PrimeField
 from conekit.ideals import EngineContext, Ideal, contains, hilbert_data, ideal_equal
 from conekit.ring import AmbientSpace, Block, PolyRing, poly_str
 from conekit.scheme import (
@@ -28,6 +30,7 @@ from conekit.scheme import (
 from oracles import (
     exact_block_saturation,
     fiber_by_elimination,
+    incidence_join,
     is_component,
     random_point_by_charts,
 )
@@ -213,7 +216,7 @@ def test_join_two_points_is_their_line():
     R = PolyRing(AmbientSpace.product(("x", 4)), FP)
     p = scheme(R, "x1", "x2", "x3")          # (1:0:0:0)
     q = scheme(R, "x0", "x2", "x3")          # (0:1:0:0)
-    L = join(p, q, CTX)
+    L = join(p, q)
     assert ideal_equal(L.ideal, Ideal(R, [R.parse("x2"), R.parse("x3")]), CTX)
 
 
@@ -221,8 +224,64 @@ def test_join_line_and_point_is_plane():
     R = PolyRing(AmbientSpace.product(("x", 4)), FP)
     L = scheme(R, "x2", "x3")
     p = scheme(R, "x0", "x1", "x2")          # (0:0:0:1)
-    P = join(L, p, CTX)
+    P = join(L, p)
     assert ideal_equal(P.ideal, Ideal(R, [R.parse("x2")]), CTX)
+
+
+def linear_subspace(ring, rows):
+    return Subscheme(Ideal(ring, [ring.from_terms({tuple(int(i == j) for j in range(ring.nvars)): c
+                                                   for i, c in enumerate(row)})
+                                  for row in rows]))  # (c)
+
+
+def subspace_pairs():
+    # forms with small coefficients (often dependent, often sharing zeros),
+    # so that the two subspaces meet, nest or coincide as well as not
+    def pair(n):
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        forms = st.lists(row, min_size=1, max_size=n - 1)
+        return st.tuples(st.just(n), forms, forms)
+    return st.sampled_from([4, 5]).flatmap(pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_join_is_the_incidence_join(case):
+    # over DEFAULT_PRIME: the oracle's diagonal saturation is Monte Carlo,
+    # and over a small field its random combination misses
+    n, rows_a, rows_b = case
+    R = PolyRing(AmbientSpace.product(("x", n)), FP)
+    A, B = linear_subspace(R, rows_a), linear_subspace(R, rows_b)
+    assume(A.dimension(CTX) >= 0 and B.dimension(CTX) >= 0)
+    # one point joined with itself: the span is the point, the incidence
+    # route, which drops coincident endpoints, is empty
+    assume(not (A.dimension(CTX) == 0 and ideal_equal(A.ideal, B.ideal, CTX)))
+    assert ideal_equal(join(A, B).ideal, incidence_join(A, B, CTX).ideal, CTX)
+
+
+@pytest.mark.parametrize("preset", ["cubic-3f-h1", "quadric-s2-h1"])
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, SECOND_PRIME])
+def test_join_of_example_3_2_inputs_is_the_incidence_join(monkeypatch, preset, prime):
+    # the delta and twist line that example-3-2 passes on the preset, seed 0
+    seen = []
+
+    def recording(A, B):
+        seen.append((A, B))
+        return join(A, B)
+
+    monkeypatch.setattr(cone, "join", recording)
+    cd = preset_data(preset, FieldConfig(p=prime))
+    ctx = EngineContext(seed=0)
+    assert run_check("example-3-2", cd, ctx).status == "PASS"
+    assert len(seen) == 1
+    A, B = seen[0]
+    assert ideal_equal(join(A, B).ideal, incidence_join(A, B, ctx).ideal, ctx)
+
+
+def test_join_rejects_a_form_that_is_not_linear():
+    R = PolyRing(AmbientSpace.product(("x", 4)), FP)
+    with pytest.raises(SchemeError, match="linear"):
+        join(scheme(R, "x0*x3 - x1*x2"), scheme(R, "x2", "x3"))
 
 
 def test_random_point_lands_on_scheme():
@@ -360,4 +419,4 @@ def test_join_rejects_multi_factor_ambient():
     R = PolyRing(amb, FP)
     S = scheme(R, "x0")
     with pytest.raises(SchemeError):
-        join(S, S, CTX)
+        join(S, S)

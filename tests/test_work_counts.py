@@ -29,7 +29,10 @@ binary form, where it computed a lex basis for each chart x_c = 1, the
 first prime made (126, 95), the second (80, 65).  Before formula-3-5 built
 its correspondence once and dropped its saturations of the correspondence
 in x and of delta + f, and w-covering read its fibre unsaturated, the
-first prime made (98, 68), the second (56, 42).
+first prime made (98, 68), the second (56, 42).  Before `join` took the
+span of its two linear inputs by row reduction, where it eliminated from an
+incidence ideal, and formula-3-5 read its cut unsaturated, the first prime
+made (91, 62), the second (49, 36).
 """
 
 import os
@@ -45,8 +48,8 @@ LIGHT_CHECKS = tuple(c for c in CHECK_ORDER if c not in ("prop-2-1", "prop-2-6")
 CFG = ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991", checks=LIGHT_CHECKS, seed=0)
 
 # (EngineContext.groebner calls, buchberger calls) of each half
-FIRST_PRIME = (91, 62)
-SECOND_PRIME = (49, 36)
+FIRST_PRIME = (87, 58)
+SECOND_PRIME = (45, 32)
 MAX_PRINTS = 600  # 490 when the bound was set, over both primes
 
 
