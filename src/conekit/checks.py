@@ -250,7 +250,6 @@ def check_split_components(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         and rep.gamma_dim_ok
         and rep.mult_diag == 1
         and rep.mult_special == 1
-        and rep.dominance_ok
     )
     return CheckOutcome(PASS if ok else FAIL, witnesses=witnesses)
 
@@ -340,11 +339,14 @@ _register(
     "Proposition 2.1, 'whose support contains'",
     "At parameter value 1 the pulled-back family contains the twisted "
     "diagonal C as its only top-dimensional component, with multiplicity 1. "
-    "S = sigma = omega + f(x) + f(y) and C, the diagonal part, are set to t = 1 (exact) "
-    "and saturated: PASS iff V(C) lies in V(S), dim S = dim C and deg S = deg C, as C "
+    "S = sigma = omega + f(x) + f(y) and C, the diagonal part, are set to t = 1 (exact): "
+    "PASS iff V(C) lies in V(S), dim S = dim C and deg S = deg C, as C "
     "is irreducible (the genericity gate certifies X smooth); FAIL when V(C) is not "
-    "in V(S), else INCONCLUSIVE. The z, x and y saturations (and omega's) draw random "
-    "forms (Monte Carlo), though the check is not re-run at a second prime.",
+    "in V(S), else INCONCLUSIVE. C is prime and needs no saturation: the diagonal part "
+    "is saturated in x, which is exact whatever form it draws. S is saturated in x only; "
+    "its z and y saturations cannot change what the check reads. Omega's four "
+    "saturations and S's x saturation draw random forms (Monte Carlo), though the "
+    "check is not re-run at a second prime.",
     False,
     check_diagonal_component,
 )
@@ -400,8 +402,10 @@ _register(
     "digamma",
     "equations (3.10)-(3.12), Proposition 3.3 proof, 'two reduced components of dimension'",
     "The projection graph over the small subspace splits into exactly two "
-    "reduced components of the stated dimension with the stated dominance "
-    "pattern over the subspace parameter.",
+    "reduced components of the stated dimension. The dominance-pattern-ok "
+    "witness (one component onto the subspace parameter line, the other over "
+    "its unsteady point only) records a property of the hand-built components, "
+    "which holds by construction; it is not a computed test.",
     False,
     check_split_components,
 )

@@ -383,14 +383,22 @@ class ConeSchemes:
 
     @property
     def diagonal_part(self) -> Subscheme:
-        # saturated: (t0 - t1) + minors + f(x) holds f(y)·m_x^deg(f), not f(y)
-        return self._get(
-            "diag",
-            lambda: Subscheme.saturated(
-                diagonal_component_ideal(self.cd, self.cd.ring(self.cd.ambient_master())),
-                self.ctx,
-            ),
-        )
+        """P, the prime of {t = 1} x (z line) x {x ∝ y, [x] ∈ X}: the
+        diagonal ideal D0 = (t0 - t1) + I2(x, y) + f(x) saturated in x.
+
+        R/I2 is a Cohen-Macaulay domain (Eagon & Northcott, Proc. Roy. Soc.
+        A 269, 1962), and f(x) is a nonzerodivisor on it (I2 lives in
+        bidegree (1, 1)), so D0 is unmixed with two minimal primes: P and
+        (t0 - t1) + m_x.  D0 is reduced along P, since the genericity gate
+        certifies X smooth, so D0 = P ∩ Q with Q primary to (t0 - t1) + m_x.
+        P meets k[x] in (f) and deg f >= 2, so no nonzero linear x-form ℓ
+        lies in P, while ℓ lies in √Q: D0 : ℓ^∞ = P whatever ℓ the x
+        saturation draws.  P is a prime that contains no m_b, so P : m_b^∞
+        = P for every block b.  D0 itself is not saturated: it holds
+        f(y)·m_x^deg(f), not f(y)."""
+        return self._get("diag", lambda: Subscheme(multisaturate(
+            diagonal_component_ideal(self.cd, self.cd.ring(self.cd.ambient_master())),
+            self.ctx, blocks=["x"])))
 
     @property
     def theta(self) -> Subscheme:
@@ -439,8 +447,11 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
 
 
 def sigma_fiber(schemes: ConeSchemes) -> Subscheme:
-    """sigma at t = 1, in z x x x y, saturated (z, x and y by random forms)."""
-    return Subscheme.saturated(at_point(schemes.sigma, {"t": (1, 1)}), schemes.ctx)
+    """S, sigma at t = 1 in z x x x y, saturated in x only (by a random
+    form).  prop-2-1 reads S as it reads the full saturation, by case (j)
+    of `Subscheme` (see verify_diagonal_is_component); the x saturation is
+    the one that changes this ideal (x = 0 with f(y) = 0)."""
+    return Subscheme(multisaturate(at_point(schemes.sigma, {"t": (1, 1)}), schemes.ctx, blocks=["x"]))
 
 
 def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[int, int], ...]]:
@@ -449,9 +460,24 @@ def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[i
     None when V(C) is not in V(S).  C is irreducible, as the genericity gate
     certifies X smooth, so equal pairs certify C as the only top-dimensional
     component of S, with multiplicity 1: deg S sums length times degree over
-    the top-dimensional components."""
+    the top-dimensional components.
+
+    C = at_point(P, t = 1) for the prime P of `diagonal_part` = (t0 - t1) +
+    P', P' in k[z, x, y], so C = P' is prime and contains no m_b: it needs
+    no saturation.  dim R/C = n + 4, as V(C) = P^1 x Δ_X.  S is read by case
+    (j) of `Subscheme`, with S0 = at_point(graph equations + f(x) + f(y),
+    t = 1).  Every graph equation is bilinear in x and y, so the irrelevant
+    loci of S0 have Krull dimension at most n + 3:
+      x = 0: only f(y) survives, in k[z, y];
+      y = 0: only f(x) survives, in k[z, x];
+      z = 0: the minors x_i·y_j - x_j·y_i, 1 <= i < j <= n+1, survive with
+        f(x) and f(y); the minors cut a Cohen-Macaulay domain of dimension
+        n + 4 in k[x, y], on which f(x) is a nonzerodivisor (e0 ∈ X or not).
+    omega's saturation and the x saturation of `sigma_fiber` land S in
+    [S0, S0 : m^∞] when their draws avoid every associated prime they must,
+    so prop-2-1 reads S as it reads the fully saturated fibre."""
     ctx = schemes.ctx
-    S, C = sigma_fiber(schemes), fiber(schemes.diagonal_part.ideal, {"t": (1, 1)}, ctx)
+    S, C = sigma_fiber(schemes), Subscheme(at_point(schemes.diagonal_part.ideal, {"t": (1, 1)}))
     if not radical_contains_ideal(C.ideal, S.ideal, ctx):
         return None
     return tuple((T.dimension(ctx), T.degree(ctx)) for T in (S, C))
@@ -564,9 +590,10 @@ def cone_family_end(schemes: ConeSchemes, point: Sequence) -> FamilyEndResult:
     sat_all = multisaturate(moved, ctx, blocks=["z", "y"])
     residual = eliminate(sat_all, ["z", "y"], ctx)
     dominant = not residual.gens
-    fib = fiber(sat_all, {"t": (1, 0)}, ctx)
-    # project to the last factor; (f): fiber ends in Subscheme.saturated
-    support = Subscheme.saturated(eliminate(fib.ideal, ["z"], ctx), ctx)
+    # (k): the support is y-saturated after z is eliminated, so the end
+    # fibre needs its z saturation only
+    fib = multisaturate(at_point(sat_all, {"t": (1, 0)}), ctx, blocks=["z"])
+    support = Subscheme.saturated(eliminate(fib, ["z"], ctx), ctx)
     return FamilyEndResult(support=support, dominance_residual=residual, dominant=dominant)
 
 
@@ -622,7 +649,12 @@ class SplitReport:
 def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     """The projection graph restricted to the smaller source subspace
     splits into the parameter-line diagonal piece and the unsteady-fiber
-    piece, both reduced of the right dimension."""
+    piece, both reduced of the right dimension.
+
+    The dominance pattern over the z line holds by construction, so
+    `dominance_ok` is set, not computed: gamma1 is generated in k[x, y], so
+    it meets k[z] in (0) and dominates the line; gamma2 is (z1) plus an
+    ideal of k[x, y], so it meets k[z] in (z1) and lies over z = 0 only."""
     cd, ctx = schemes.cd, schemes.ctx
     G = schemes.projection_graph
     ring = G.ring
@@ -653,17 +685,12 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
         m2 = component_multiplicity(gamma, gamma2, [gamma1], ctx)
     except SchemeError:
         pass
-    # dominance over the parameter line: gamma1 onto, gamma2 over z=0 only
-    e1 = eliminate(gamma1.ideal, ["x", "y"], ctx)
-    e2 = eliminate(gamma2.ideal, ["x", "y"], ctx)
-    zr = e2.ring
-    dom_ok = (not e1.gens) and ideal_equal(e2, Ideal(zr, [zr.var("z1")]), ctx)
     return SplitReport(
         certified=certified,
         gamma_dim_ok=dims_ok,
         mult_diag=m1,
         mult_special=m2,
-        dominance_ok=dom_ok,
+        dominance_ok=True,
         dims=(d1, d2),
     )
 

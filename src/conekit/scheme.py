@@ -67,6 +67,19 @@ class Subscheme:
         The random element `saturate` draws is tagged by the ideal, so it
         differs, but it can miss only at an associated prime that does not
         contain J, and m, the one prime I may add, contains J.
+    Two more hold in several blocks, with m = ∏ m_b:
+    (j) let C be a multihomogeneous prime containing no m_b, and S0 an ideal
+        whose irrelevant loci V(S0) ∩ V(m_b) all have Krull dimension below
+        dim R/C.  Then every J with S0 ⊆ J ⊆ S0 : m^∞ is read as S0 is:
+        J ⊆ √C iff S0 ⊆ √C (g·m^N ⊆ S0 ⊆ C, C is prime and m ⊄ C), and when
+        V(C) ⊆ V(J), `hilbert_data(J)` = `hilbert_data(S0)`: J/S0 is
+        m-torsion, so it lives in those loci and changes the Hilbert series
+        only below the top dimension (prop-2-1, `verify_diagonal_is_component`);
+    (k) an elimination read up to saturation ignores a saturation before it:
+        with J ∩ k[y] the elimination of the other blocks,
+        (J ∩ k[y]) : m_y^∞ = ((J : m_y^∞) ∩ k[y]) : m_y^∞, since
+        g·m_y^N ⊆ J with g in k[y] puts g·m_y^N in J ∩ k[y] (prop-2-6's end
+        fibre, `cone_family_end`).
     """
 
     __slots__ = ("ideal", "_hilbert")

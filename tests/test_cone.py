@@ -1,5 +1,8 @@
 """Cone construction layer: graph schemes, pencils, splits."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +17,13 @@ from conekit.ideals import (
     hilbert_data,
     ideal_equal,
     multisaturate,
+    radical_contains_ideal,
     saturate,
+    saturate_by_poly,
 )
 from conekit.report import ScenarioConfig, run_scenario
 from conekit.ring import AmbientSpace, PolyRing, poly_str
-from conekit.scheme import Subscheme, component_multiplicity, fiber, union_certify
+from conekit.scheme import Subscheme, at_point, component_multiplicity, fiber, union_certify
 import oracles
 from oracles import expansion_pencil_taylor, fiber_by_elimination, is_component
 
@@ -501,3 +506,55 @@ def test_diagonal_component_ideal_is_not_saturated():
     x = ring.block_vars("x")
     assert all(contains(diag, fy * a * b, CTX) for a in x for b in x)
     assert not ideal_equal(multisaturate(diag, CTX), diag, CTX)
+
+
+# the presets and the scenarios of tests/corpus, at both standard primes
+INSTANCES = [(dict(preset=name), name) for name in ALL_PRESETS] + [
+    (json.loads(path.read_text()), path.stem)
+    for path in sorted((Path(__file__).parent / "corpus").glob("*.json"))]
+AT_ONE = {"t": (1, 1)}
+
+
+def instance_schemes(scenario, p):
+    cd = ScenarioConfig.from_dict(dict(scenario, field="Fp:%d" % p)).cone_data()
+    return cd, cone.ConeSchemes(cd, EngineContext(seed=0))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("scenario", [s for s, _ in INSTANCES], ids=[n for _, n in INSTANCES])
+def test_prop_2_1_reads_its_fibre_as_its_saturation(scenario, p):
+    # case (j) of Subscheme: S0 (sigma at t = 1, from omega saturated or
+    # from the bare graph equations), sigma_fiber's S and the fully
+    # saturated fibre have the same Hilbert data and the same radical
+    # containment in C, though S0 is not the saturated fibre
+    cd, schemes = instance_schemes(scenario, p)
+    ctx = schemes.ctx
+    ring = schemes.omega.ring
+    bare = Ideal(ring, cone.graph_equations(cd, ring)).with_extra(
+        [cd.f_in(ring), cd.section_form(ring, "y", range(cd.nx))])
+    S0s = [at_point(schemes.sigma, AT_ONE), at_point(bare, AT_ONE)]
+    full = fiber(schemes.sigma, AT_ONE, ctx).ideal
+    C = at_point(schemes.diagonal_part.ideal, AT_ONE)
+    readings = {(hilbert_data(T, ctx), radical_contains_ideal(C, T, ctx))
+                for T in S0s + [cone.sigma_fiber(schemes).ideal, full]}
+    assert len(readings) == 1
+    assert not any(ideal_equal(S0, full, ctx) for S0 in S0s)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("scenario", [s for s, _ in INSTANCES], ids=[n for _, n in INSTANCES])
+def test_diagonal_part_is_exact(scenario, p):
+    # D0 : ℓ^∞ is one ideal P for every nonzero linear x-form ℓ, P is the
+    # saturation in every block, and P at t = 1 is C with no saturation
+    cd, schemes = instance_schemes(scenario, p)
+    ctx = schemes.ctx
+    ring = cd.ring(cd.ambient_master())
+    D0 = cone.diagonal_component_ideal(cd, ring)
+    x = ring.block_vars("x")
+    P = multisaturate(D0, ctx)
+    for form in (x[0], x[-1], sum(x[1:], x[0])):
+        assert ideal_equal(saturate_by_poly(D0, form, ctx), P, ctx)
+    assert ideal_equal(schemes.diagonal_part.ideal, P, ctx)
+    C = at_point(schemes.diagonal_part.ideal, AT_ONE)
+    assert ideal_equal(C, fiber(schemes.diagonal_part.ideal, AT_ONE, ctx).ideal, ctx)
