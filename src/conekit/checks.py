@@ -330,7 +330,13 @@ _register(
     "section 2.1/2.2 bridge: equation (2.9) graph description vs the explicit system (2.18)",
     "The family graph closure computed from the explicit multihomogeneous "
     "equation system equals the one computed independently as a rational-map "
-    "graph closure, after saturation.",
+    "graph closure, after saturation. The map-graph closure is exact: over the "
+    "full product ring it is saturated by one monomial form, variable by "
+    "variable, with no random draw. When the bare "
+    "system already equals it, that equality is the PASS: no saturation and no "
+    "uncertified random form on that path. Otherwise the system is "
+    "saturated in every block by random linear forms (Monte Carlo) and compared "
+    "again.",
     False,
     check_omega_consistency,
 )
@@ -366,8 +372,9 @@ _register(
     "with respect to c_z = (z0 : 0 : ... : 0 : -z1), the centre of the "
     "z-twisted projection pi_z; so the first-order locus is the plane section "
     "plus the ramification divisor of pi_z: X -> P^n, and pi_z is the covering. "
-    "At three random steady z, takes the graph closure of pi_z with X as its "
-    "source and counts (with multiplicity) its fibre over the image of a random "
+    "At three random steady z, takes the graph of pi_z with X as its source "
+    "(f and the 2x2 minors when c_z is not on X, else the graph closure) and "
+    "counts (with multiplicity) its fibre over the image of a random "
     "point of X; PASS iff every count is deg(X). NOT-APPLICABLE for h >= 2, "
     "where the centre is an (h-1)-plane and the fibres have positive dimension.",
     True,
@@ -405,7 +412,11 @@ _register(
     "reduced components of the stated dimension. The dominance-pattern-ok "
     "witness (one component onto the subspace parameter line, the other over "
     "its unsteady point only) records a property of the hand-built components, "
-    "which holds by construction; it is not a computed test.",
+    "which holds by construction; it is not a computed test. When the cut graph "
+    "already equals the intersection of the two components, that equality "
+    "certifies the union and both multiplicities 1 exactly: no saturation and "
+    "no uncertified random form on that path. Otherwise the cut graph is saturated in "
+    "every block and split by random saturations (Monte Carlo).",
     False,
     check_split_components,
 )

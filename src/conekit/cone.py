@@ -24,6 +24,7 @@ from .ideals import (
     eliminate,
     hilbert_data,
     ideal_equal,
+    intersect,
     linear_forms_in,
     multisaturate,
     radical_contains_ideal,
@@ -40,6 +41,7 @@ from .scheme import (
     component_multiplicity,
     fiber,
     graph_closure,
+    graph_minors,
     join,
     point_forms,
     random_point,
@@ -432,10 +434,17 @@ class ConeSchemes:
 
 def verify_graph_consistency(schemes: ConeSchemes) -> bool:
     """The explicit equation system and the independent map-graph closure
-    cut the same saturated ideal."""
-    return ideal_equal(
-        schemes.omega.ideal, schemes.omega_from_map.ideal, schemes.ctx
-    )
+    cut the same saturated ideal.
+
+    G, the map-graph closure, is the graph's prime, saturated in every
+    block and exact (case (a) of `Subscheme`).  When E, the bare equation
+    system, already equals G, then E : m^∞ = G, case (l), and `omega` is
+    not built.  Otherwise `omega`, E saturated in every block, is compared
+    with G."""
+    ctx = schemes.ctx
+    G = schemes.omega_from_map.ideal
+    E = Ideal(G.ring, graph_equations(schemes.cd, G.ring))
+    return ideal_equal(E, G, ctx) or ideal_equal(schemes.omega.ideal, G, ctx)
 
 
 def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
@@ -506,35 +515,22 @@ def _value_at(form: Poly, coords: Sequence) -> object:
 COVERING_SAMPLES = 3
 
 
-def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[CoveringReport]:
-    """Fibre lengths of the z-twisted projection pi_z restricted to X.
+def projection_centre(cd: ConeData, z: Tuple[int, int]) -> List[int]:
+    """c_z = (z0 : 0 : ... : 0 : -z1), -z1 at the pivot: the base locus of
+    pi_z for h = 1."""
+    return [z[0]] + [0] * (cd.pivot - 1) + [-z[1]]
 
-    For h = 1 the first-order pencil factors as
-    x_{n+1} * (z0*df/dx_0 - z1*df/dx_{n+1}): the second factor is the polar
-    of X with respect to the centre c_z = (z0 : 0 : ... : 0 : -z1) of pi_z,
-    so the first-order locus is the plane section plus the ramification
-    divisor of pi_z: X -> P^n.  Each sample draws a random steady z, takes
-    the graph closure of pi_z with X as its source (f is imposed before the
-    base locus is saturated away, so c_z itself is never counted) and reads
-    the length of its fibre over pi_z of a random point of X.  The fibre is
-    read unsaturated: it lives in the x block alone, where (h) of
-    `Subscheme` gives the saturation's dimension and degree, or dimension
-    -1 when the fibre is empty.
 
-    Returns None when not enough rational sample points were found.
-    """
-    if cd.h != 1:
-        raise ConeDataError("the projection centre is a point only for h = 1")
+def covering_draws(cd: ConeData, ctx: EngineContext):
+    """The samples `covering_degree_report` reads, drawn lazily: for draw k
+    a random steady z, a random point of X, pi_z with X as its source, and
+    the point's image.  A draw with no point, or whose point is c_z, yields
+    nothing."""
     ring_x = cd.ring(cd.ambient_x())
     F = ring_x.field
     X = Subscheme(Ideal(ring_x, [cd.f_in(ring_x)]))  # (b)
     twisted = projection_map_spec(cd)
-    counts: List[int] = []
-    params: List[Tuple[int, int]] = []
-    pts: List[Tuple[int, ...]] = []
     for k in range(COVERING_SAMPLES * 6):
-        if len(counts) >= COVERING_SAMPLES:
-            break
         rng = ctx.rng("w-covering", k)
         z = (F.sample_nonzero(rng), F.sample_nonzero(rng))
         at_z = {"z0": twisted.source_ring.const(z[0]), "z1": twisted.source_ring.const(z[1])}
@@ -544,18 +540,51 @@ def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[Coverin
         if pt is None:
             continue
         image = [_value_at(g, pt.coords) for g in forms]
-        if not any(image):
-            continue  # the sample is the centre itself
-        graph = graph_closure(RationalMapSpec(X, twisted.target_block, forms), ctx)
-        hd = hilbert_data(at_point(graph.ideal, {"y": image}), ctx)
+        if any(image):  # else the sample is the centre itself
+            yield z, pt.coords, RationalMapSpec(X, twisted.target_block, forms), image
+
+
+def covering_degree_report(cd: ConeData, ctx: EngineContext) -> Optional[CoveringReport]:
+    """Fibre lengths of the z-twisted projection pi_z restricted to X.
+
+    For h = 1 the first-order pencil factors as
+    x_{n+1} * (z0*df/dx_0 - z1*df/dx_{n+1}): the second factor is the polar
+    of X with respect to the centre c_z = (z0 : 0 : ... : 0 : -z1) of pi_z,
+    so the first-order locus is the plane section plus the ramification
+    divisor of pi_z: X -> P^n.  Each sample draws a random steady z, takes
+    the graph of pi_z with X as its source and reads the length of its
+    fibre over pi_z of a random point of X (`covering_draws`).  The base
+    locus of pi_z is c_z alone.  When f(c_z) != 0 the graph is the bare
+    ideal f + the 2x2 minors (`graph_minors`): by case (n) of `Subscheme`
+    its fibre has the same saturation as the closure's, and no saturation
+    or random form is needed.  When c_z lies on X the graph is the closure,
+    where f is imposed before the base locus is saturated away, so c_z
+    itself is never counted.  The fibre is read unsaturated: it lives in
+    the x block alone, where (h) of `Subscheme` gives the saturation's
+    dimension and degree, or dimension -1 when the fibre is empty.
+
+    Returns None when not enough rational sample points were found.
+    """
+    if cd.h != 1:
+        raise ConeDataError("the projection centre is a point only for h = 1")
+    counts: List[int] = []
+    params: List[Tuple[int, int]] = []
+    pts: List[Tuple[int, ...]] = []
+    for z, point, spec, image in covering_draws(cd, ctx):
+        f = spec.source_gens[0]
+        if _value_at(f, projection_centre(cd, z)):
+            graph = graph_minors(spec)  # (n)
+        else:
+            graph = graph_closure(spec, ctx).ideal
+        hd = hilbert_data(at_point(graph, {"y": image}), ctx)
         if hd.dimension != 0:
             continue  # degenerate sample: fiber not finite
         counts.append(hd.degree)
         params.append(z)
-        pts.append(pt.coords)
-    if len(counts) < COVERING_SAMPLES:
-        return None
-    return CoveringReport(expected=cd.f_deg(), counts=counts, parameters=params, points=pts)
+        pts.append(point)
+        if len(counts) == COVERING_SAMPLES:
+            return CoveringReport(expected=cd.f_deg(), counts=counts, parameters=params, points=pts)
+    return None
 
 
 @dataclass
@@ -646,10 +675,38 @@ class SplitReport:
     dims: Tuple[int, int]
 
 
+def split_components(cd: ConeData, ring: PolyRing) -> Tuple[List[Poly], Subscheme, Subscheme]:
+    """The cut x_{n+2-h} = ... = x_{n+1} = 0 of the projection graph's ring
+    and the two components expected in it: gamma1, the cut with the 2x2
+    minors of x, y in indices 0..n+1-h, and gamma2, z1 with the cut and the
+    minors in indices 1..n+1-h."""
+    x = ring.block_vars("x")
+    y = ring.block_vars("y")
+    z1 = ring.block_vars("z")[1]
+    p = cd.pivot
+    cut = [x[i] for i in range(p, cd.nx)]
+    g1_gens = list(cut)
+    for i in range(0, p):
+        for j in range(i + 1, p):
+            g1_gens.append(x[i] * y[j] - x[j] * y[i])
+    g2_gens = [z1] + list(cut)
+    for i in range(1, p):
+        for j in range(i + 1, p):
+            g2_gens.append(x[i] * y[j] - x[j] * y[i])
+    return cut, Subscheme(Ideal(ring, g1_gens)), Subscheme(Ideal(ring, g2_gens))  # (d)
+
+
 def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     """The projection graph restricted to the smaller source subspace
     splits into the parameter-line diagonal piece and the unsteady-fiber
     piece, both reduced of the right dimension.
+
+    gamma1 and gamma2 are distinct primes with no m_b, case (d); z1 lies in
+    gamma2 and not in gamma1, and x0*y1 - x1*y0 in gamma1 and not in
+    gamma2.  So when the cut graph G + cut equals gamma1 ∩ gamma2, case (m)
+    certifies the union and both multiplicities 1 exactly, with no
+    saturation.  Otherwise the cut graph is saturated in every block and
+    split by `saturated_split`.
 
     The dominance pattern over the z line holds by construction, so
     `dominance_ok` is set, not computed: gamma1 is generated in k[x, y], so
@@ -657,42 +714,40 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     ideal of k[x, y], so it meets k[z] in (z1) and lies over z = 0 only."""
     cd, ctx = schemes.cd, schemes.ctx
     G = schemes.projection_graph
-    ring = G.ring
-    x = ring.block_vars("x")
-    y = ring.block_vars("y")
-    z0, z1 = ring.block_vars("z")
-    p = cd.pivot
-    cut = [x[i] for i in range(p, cd.nx)]
-    gamma = Subscheme.saturated(G.ideal.with_extra(cut), ctx)
-    # expected components
-    g1_gens = list(cut)
-    for i in range(0, p):
-        for j in range(i + 1, p):
-            g1_gens.append(x[i] * y[j] - x[j] * y[i])
-    gamma1 = Subscheme(Ideal(ring, g1_gens))  # (d)
-    g2_gens = [z1] + list(cut)
-    for i in range(1, p):
-        for j in range(i + 1, p):
-            g2_gens.append(x[i] * y[j] - x[j] * y[i])
-    gamma2 = Subscheme(Ideal(ring, g2_gens))  # (d)
-    certified = union_certify(gamma, [gamma1, gamma2], ctx)
+    cut, gamma1, gamma2 = split_components(cd, G.ring)
+    cut_graph = G.ideal.with_extra(cut)
+    if ideal_equal(cut_graph, intersect(gamma1.ideal, gamma2.ideal, ctx), ctx):
+        certified, m1, m2 = True, Fraction(1), Fraction(1)  # (m)
+    else:
+        certified, m1, m2 = saturated_split(cut_graph, gamma1, gamma2, ctx)
     want = cd.n + 2 - cd.h
     d1, d2 = gamma1.dimension(ctx), gamma2.dimension(ctx)
-    dims_ok = d1 == want and d2 == want
+    return SplitReport(
+        certified=certified,
+        gamma_dim_ok=d1 == want and d2 == want,
+        mult_diag=m1,
+        mult_special=m2,
+        dominance_ok=True,
+        dims=(d1, d2),
+    )
+
+
+def saturated_split(
+    cut_graph: Ideal, gamma1: Subscheme, gamma2: Subscheme, ctx: EngineContext
+) -> Tuple[bool, Optional[Fraction], Optional[Fraction]]:
+    """Whether the cut graph, saturated in every block, is gamma1 ∪ gamma2
+    up to radical, and the multiplicity of each in it, read from
+    saturations by random forms.  A multiplicity that is not defined, and
+    any after it, is None."""
+    gamma = Subscheme.saturated(cut_graph, ctx)
+    certified = union_certify(gamma, [gamma1, gamma2], ctx)
     m1 = m2 = None
     try:
         m1 = component_multiplicity(gamma, gamma1, [gamma2], ctx)
         m2 = component_multiplicity(gamma, gamma2, [gamma1], ctx)
     except SchemeError:
         pass
-    return SplitReport(
-        certified=certified,
-        gamma_dim_ok=dims_ok,
-        mult_diag=m1,
-        mult_special=m2,
-        dominance_ok=True,
-        dims=(d1, d2),
-    )
+    return certified, m1, m2
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .ideals import (
     multisaturate,
     radical_equal,
     saturate,
+    saturate_by_poly,
 )
 from .linalg import kernel_basis, rref
 from .ring import AmbientSpace, Block, LexOrder, Poly, PolyRing, substitute_all
@@ -45,7 +46,16 @@ class Subscheme:
     (a) a graph closure I : c^∞, c a combination of the forms: c lies in m_b
         for each source block where the forms have positive degree, and at
         a nonzero form the target coordinate is a nonzerodivisor; only
-        source blocks of form degree 0 are saturated;
+        source blocks of form degree 0 are saturated.  Over a full product
+        ring (no source generators) I : c^∞ is the graph's prime P for
+        every nonzero c: localized at a form f_j the minors give
+        y_i = y_j·f_i/f_j, so they cut the domain k[source][1/f_j][y_j] and
+        equal P there; every other associated prime of I thus contains
+        every f_j, hence c, and c ∉ P as P ∩ k[source] = 0 (the graph maps
+        onto its source).  So the saturation drops exactly the components
+        over the base locus and cannot miss, and a further saturation by a
+        nonzero source form is exact for the same reason.  `graph_closure`
+        there takes a monomial form when one exists, variable by variable;
     (b) one form in one projective block, (c) a linear ideal, (d) generic
         2x2 minors plus linear forms in other variables: each has prime
         associated primes that contain no m_b;
@@ -80,6 +90,22 @@ class Subscheme:
         (J ∩ k[y]) : m_y^∞ = ((J : m_y^∞) ∩ k[y]) : m_y^∞, since
         g·m_y^N ⊆ J with g in k[y] puts g·m_y^N in J ∩ k[y] (prop-2-6's end
         fibre, `cone_family_end`).
+    Three equalities decide a comparison, or a fibre, before any saturation:
+    (l) an ideal E equal to a saturated G is saturated: E : m^∞ = G : m^∞ = G
+        (omega-consistency, `verify_graph_consistency`, with G the twist's
+        map-graph closure, saturated in every block by (a));
+    (m) for distinct primes P1, P2 containing no m_b, P1 ∩ P2 is radical and
+        saturated, and (P1 ∩ P2) : P2^∞ = P1 when P2 ⊄ P1 (P1 : P2^∞ = P1,
+        P2 : P2^∞ = R); so an ideal equal to P1 ∩ P2 is the union of the two,
+        each a component of multiplicity 1 (digamma,
+        `verify_split_components`);
+    (n) let B be the forms' ideal of a map whose source is cut by f, with
+        m_x ⊆ √(B + (f)).  Then I = (f) + minors and the closure J = I : B^∞
+        have I ⊆ J ⊆ I : m_x^∞: they agree where some form is a unit, and f,
+        in I, kills J/I elsewhere.  Fixing the target block at a point keeps
+        this (g·m_x^N ⊆ I survives the substitution), so by (h) the fibres
+        of I and J have one `hilbert_data` (w-covering,
+        `covering_degree_report`: V(B) is the centre c_z, f(c_z) != 0).
     """
 
     __slots__ = ("ideal", "_hilbert")
@@ -150,17 +176,12 @@ class RationalMapSpec:
 # graph closure
 
 
-def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
-    """Closure of the graph of the map over its regular locus.
-
-    The graph ideal is generated by the 2x2 minors of [target coords;
-    forms]; saturating by the base-locus ideal removes everything the
-    minors pick up where all forms vanish, and with it every irrelevant
-    component over a block where the forms have positive degree.
-    """
+def graph_minors(spec: RationalMapSpec) -> Ideal:
+    """The graph before its base locus is saturated away: the source's
+    generators and the 2x2 minors of [target coords; forms], in the source
+    ring extended by the target block."""
     src = spec.source_ring
-    ext = src.ambient.extend(spec.target_block)
-    ring = PolyRing(ext, src.field)
+    ring = PolyRing(src.ambient.extend(spec.target_block), src.field)
     forms = [ring.convert(f) for f in spec.forms]
     tvars = ring.block_vars(spec.target_block.name)
     gens = [ring.convert(g) for g in spec.source_gens]
@@ -170,12 +191,38 @@ def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
             g = tvars[i] * forms[j] - tvars[j] * forms[i]
             if not g.is_zero():
                 gens.append(g)
-    graph = Ideal(ring, gens)
-    base_locus = Ideal(ring, forms)
-    sat = saturate(graph, base_locus, ctx)
+    return Ideal(ring, gens)
+
+
+def graph_closure(spec: RationalMapSpec, ctx: EngineContext) -> Subscheme:
+    """Closure of the graph of the map over its regular locus.
+
+    The graph ideal is generated by the 2x2 minors of [target coords;
+    forms] (`graph_minors`); saturating by the base-locus ideal removes
+    everything the minors pick up where all forms vanish, and with it every
+    irrelevant component over a block where the forms have positive degree.
+    Over a full product ring any nonzero element of the base-locus ideal
+    gives the closure, case (a) of `Subscheme`: a form that is a monomial
+    is taken when there is one, which needs no random draw and no
+    auxiliary variable.  Otherwise the saturation is by a random
+    combination of the forms (`saturate`).
+    """
+    graph = graph_minors(spec)
+    ring = graph.ring
+    forms = [ring.convert(f) for f in spec.forms]
+    monomial = next((f for f in forms if len(f.terms) == 1), None)
+    if spec.source_gens or monomial is None:
+        sat = saturate(graph, Ideal(ring, forms), ctx)
+    else:
+        # (a): every nonzero form gives the graph's prime, and a monomial
+        # form one divide-out per variable: I : (v·w)^∞ = (I : v^∞) : w^∞
+        sat = graph
+        for v, e in zip(ring.gens(), next(iter(monomial.terms))):
+            if e:
+                sat = saturate_by_poly(sat, v, ctx)
     # (a): only a source block where the forms have degree 0 needs saturating
     degs = next(f for f in spec.forms if not f.is_zero()).multidegree()
-    flat = [b.name for b in src.ambient.projective_blocks if degs[b.name] == 0]
+    flat = [b.name for b in spec.source_ring.ambient.projective_blocks if degs[b.name] == 0]
     return Subscheme(multisaturate(sat, ctx, blocks=flat))
 
 

@@ -16,6 +16,7 @@ from conekit.ideals import (
     contains,
     hilbert_data,
     ideal_equal,
+    intersect,
     multisaturate,
     radical_contains_ideal,
     saturate,
@@ -558,3 +559,139 @@ def test_diagonal_part_is_exact(scenario, p):
     assert ideal_equal(schemes.diagonal_part.ideal, P, ctx)
     C = at_point(schemes.diagonal_part.ideal, AT_ONE)
     assert ideal_equal(C, fiber(schemes.diagonal_part.ideal, AT_ONE, ctx).ideal, ctx)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("scenario", [s for s, _ in INSTANCES], ids=[n for _, n in INSTANCES])
+def test_equality_shortcuts_hold(scenario, p):
+    # case (l): the bare equation system already equals the map-graph
+    # closure; case (m): the cut projection graph already equals
+    # gamma1 ∩ gamma2, and the saturated route reads what the equality reads
+    cd, schemes = instance_schemes(scenario, p)
+    ctx = schemes.ctx
+    G = schemes.omega_from_map.ideal
+    assert ideal_equal(Ideal(G.ring, cone.graph_equations(cd, G.ring)), G, ctx)
+    graph = schemes.projection_graph.ideal
+    cut, gamma1, gamma2 = cone.split_components(cd, graph.ring)
+    cut_graph = graph.with_extra(cut)
+    assert ideal_equal(cut_graph, intersect(gamma1.ideal, gamma2.ideal, ctx), ctx)
+    rep = cone.verify_split_components(schemes)
+    assert (rep.certified, rep.mult_diag, rep.mult_special) == (True, 1, 1)
+    assert cone.saturated_split(cut_graph, gamma1, gamma2, ctx) == (True, 1, 1)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("scenario", [s for s, _ in INSTANCES], ids=[n for _, n in INSTANCES])
+def test_graph_closure_is_exact(scenario, p):
+    # case (a): over a full product ring the minors saturated by any nonzero
+    # element of the forms' ideal are the graph's prime, which graph_closure
+    # reaches through a monomial form
+    cd, schemes = instance_schemes(scenario, p)
+    ctx = schemes.ctx
+    for spec, closure in ((cone.twist_map_spec(cd), schemes.omega_from_map),
+                          (cone.projection_map_spec(cd), schemes.projection_graph)):
+        minors = scheme.graph_minors(spec)
+        forms = [minors.ring.convert(f) for f in spec.forms]
+        for c in (forms[0], forms[-1], sum(forms[1:], forms[0])):
+            assert ideal_equal(saturate_by_poly(minors, c, ctx), closure.ideal, ctx)
+
+
+H1_INSTANCES = [(s, n) for s, n in INSTANCES
+                if ScenarioConfig.from_dict(dict(s, field="Q")).cone_data().h == 1]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
+@pytest.mark.parametrize("scenario", [s for s, _ in H1_INSTANCES], ids=[n for _, n in H1_INSTANCES])
+def test_covering_fibre_from_minors(scenario, p):
+    # case (n): off X's centres the bare minors with f and the graph closure
+    # give one fibre reading, and w-covering reads the minors
+    cd, schemes = instance_schemes(scenario, p)
+    ctx = schemes.ctx
+    read = 0
+    for z, _, spec, image in cone.covering_draws(cd, ctx):
+        assert cone._value_at(spec.source_gens[0], cone.projection_centre(cd, z))
+        fibres = [at_point(ideal, {"y": image}) for ideal in
+                  (scheme.graph_minors(spec), scheme.graph_closure(spec, ctx).ideal)]
+        assert hilbert_data(fibres[0], ctx) == hilbert_data(fibres[1], ctx)
+        read += 1
+        if read == cone.COVERING_SAMPLES:
+            break
+    assert read == cone.COVERING_SAMPLES
+
+
+def _padded(ideal, block):
+    """The ideal with its first generator g replaced by g times each
+    variable of `block`: its saturation in that block is unchanged."""
+    g = ideal.gens[0]
+    return Ideal(ideal.ring, [g * v for v in ideal.ring.block_vars(block)] + list(ideal.gens[1:]))
+
+
+def test_omega_consistency_falls_back_to_saturation(monkeypatch):
+    # when the bare system is not the closure but its saturation is, the
+    # check saturates it and reads PASS
+    cd = cone.preset("quadric-s2-h1", CFG)
+    ring = cd.ring(cd.ambient_master())
+    E = Ideal(ring, cone.graph_equations(cd, ring))
+    padded = _padded(E, "t").gens
+    monkeypatch.setattr(cone, "graph_equations", lambda cd, ring: padded)
+    ctx = EngineContext(seed=0)
+    assert not ideal_equal(Ideal(ring, padded), cone.ConeSchemes(cd, ctx).omega_from_map.ideal, ctx)
+    assert ideal_equal(multisaturate(Ideal(ring, padded), ctx), E, ctx)
+    sats = []
+    saturated = Subscheme.saturated.__func__
+
+    def counted(cls, ideal, ctx):
+        sats.append(ideal)
+        return saturated(cls, ideal, ctx)
+
+    monkeypatch.setattr(Subscheme, "saturated", classmethod(counted))
+    assert checks.check_omega_consistency(cd, ctx).status == checks.PASS
+    assert len(sats) == 1
+
+
+def test_digamma_falls_back_to_saturation(monkeypatch):
+    # when the cut projection graph is not gamma1 ∩ gamma2 but its
+    # saturation is, the check splits the saturation and reads PASS
+    cd = cone.preset("quadric-s2-h1", CFG)
+    closure = scheme.graph_closure
+    monkeypatch.setattr(cone, "graph_closure",
+                        lambda spec, ctx: Subscheme(_padded(closure(spec, ctx).ideal, "z")))
+    ctx = EngineContext(seed=0)
+    schemes = cone.ConeSchemes(cd, ctx)
+    graph = schemes.projection_graph.ideal
+    cut, gamma1, gamma2 = cone.split_components(cd, graph.ring)
+    meet = intersect(gamma1.ideal, gamma2.ideal, ctx)
+    assert not ideal_equal(graph.with_extra(cut), meet, ctx)
+    splits = []
+    saturated_split = cone.saturated_split
+
+    def counted(*args):
+        splits.append(args)
+        return saturated_split(*args)
+
+    monkeypatch.setattr(cone, "saturated_split", counted)
+    out = checks.check_split_components(cd, ctx)
+    assert out.status == checks.PASS
+    assert out.witnesses["multiplicity-diagonal"] == out.witnesses["multiplicity-special-fiber"] == "1"
+    assert len(splits) == 1
+
+
+def test_w_covering_falls_back_to_the_closure(monkeypatch):
+    # with every centre taken to lie on X the check reads each fibre from the
+    # graph closure, and reads what the minors read
+    cd = cone.preset("quadric-s2-h1", CFG)
+    fast = checks.check_w_covering(cd, EngineContext(seed=0))
+    closures = []
+    closure = scheme.graph_closure
+
+    def counted(spec, ctx):
+        closures.append(spec)
+        return closure(spec, ctx)
+
+    monkeypatch.setattr(cone, "graph_closure", counted)
+    assert checks.check_w_covering(cd, EngineContext(seed=0)) == fast
+    assert closures == []
+    monkeypatch.setattr(cone, "projection_centre", lambda cd, z: [0] * cd.nx)
+    slow = checks.check_w_covering(cd, EngineContext(seed=0))
+    assert slow == fast and slow.status == checks.PASS
+    assert len(closures) == cone.COVERING_SAMPLES
