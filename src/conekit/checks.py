@@ -333,8 +333,8 @@ _register(
     "graph closure, after saturation. The map-graph closure is exact: over the "
     "full product ring it is saturated by one monomial form, variable by "
     "variable, with no random draw. When the bare "
-    "system already equals it, that equality is the PASS: no saturation and no "
-    "uncertified random form on that path. Otherwise the system is "
+    "system already equals it, that equality is the PASS: no block saturation "
+    "and no random form on that path. Otherwise the system is "
     "saturated in every block by random linear forms (Monte Carlo) and compared "
     "again.",
     False,
@@ -414,8 +414,8 @@ _register(
     "its unsteady point only) records a property of the hand-built components, "
     "which holds by construction; it is not a computed test. When the cut graph "
     "already equals the intersection of the two components, that equality "
-    "certifies the union and both multiplicities 1 exactly: no saturation and "
-    "no uncertified random form on that path. Otherwise the cut graph is saturated in "
+    "certifies the union and both multiplicities 1 exactly: no block saturation "
+    "and no random form on that path. Otherwise the cut graph is saturated in "
     "every block and split by random saturations (Monte Carlo).",
     False,
     check_split_components,
