@@ -345,14 +345,14 @@ _register(
     "Proposition 2.1, 'whose support contains'",
     "At parameter value 1 the pulled-back family contains the twisted "
     "diagonal C as its only top-dimensional component, with multiplicity 1. "
-    "S = sigma = omega + f(x) + f(y) and C, the diagonal part, are set to t = 1 (exact): "
+    "S = sigma = E + f(x) + f(y), with E the bare graph equations, and C, the diagonal "
+    "part, are set to t = 1 (exact): "
     "PASS iff V(C) lies in V(S), dim S = dim C and deg S = deg C, as C "
     "is irreducible (the genericity gate certifies X smooth); FAIL when V(C) is not "
-    "in V(S), else INCONCLUSIVE. C is prime and needs no saturation: the diagonal part "
-    "is saturated in x, which is exact whatever form it draws. S is saturated in x only; "
-    "its z and y saturations cannot change what the check reads. Omega's four "
-    "saturations and S's x saturation draw random forms (Monte Carlo), though the "
-    "check is not re-run at a second prime.",
+    "in V(S), else INCONCLUSIVE. No omega and no random form: S is read unsaturated, "
+    "as no saturation of it can change what the check reads, and C is prime, so V(C) "
+    "lies in V(S) iff S lies in C, one ideal containment. The one saturation is the "
+    "diagonal part's in x, which is exact whatever linear form it draws.",
     False,
     check_diagonal_component,
 )
@@ -399,8 +399,10 @@ _register(
     "ideals and K = t1*(t0 - t1)*t0*m_z*m_x*m_y, is computed as "
     "(sigma + delta) : K^inf, the same ideal since K lies in rad(M*diag), then as "
     "(sigma(p) : K'^inf) + delta, sigma(p) = sigma at x = p, K' = t1*(t0 - t1)*t0*m_z*m_y. "
+    "sigma is E + f(x) + f(y), E the bare graph equations: omega's saturations do not "
+    "change the family, as K lies in M. "
     "Exact: setting x = p and t = 0, the divide-outs by t1, t0 - t1 and t0. Monte "
-    "Carlo: the z and y saturations (and omega's), cross-checked at a second prime.",
+    "Carlo: the z and y saturations, cross-checked at a second prime.",
     True,
     check_family_end,
     needs_points=True,

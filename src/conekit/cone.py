@@ -21,13 +21,13 @@ from .fields import Field, FieldConfig
 from .ideals import (
     EngineContext,
     Ideal,
+    contains_ideal,
     eliminate,
     hilbert_data,
     ideal_equal,
     intersect,
     linear_forms_in,
     multisaturate,
-    radical_contains_ideal,
     radical_equal,
     saturate,
     saturate_by_poly,
@@ -358,7 +358,12 @@ class ConeSchemes:
 
     @property
     def omega(self) -> Subscheme:
-        """The twist's graph closure from its explicit equations, saturated."""
+        """The twist's graph closure from its explicit equations E, saturated
+        in every block by random forms.  No heavy check reads it (see
+        `sigma`).  Its readers are omega-consistency's fallback and FAIL
+        witness (when E differs from the map-graph closure), `E0_FIBER_CHECK`
+        (`projected_fiber_matches_fiber_product`), and perfbench/tracer.py,
+        which looks it up by name."""
 
         def build():
             ring = self.cd.ring(self.cd.ambient_master())
@@ -373,13 +378,21 @@ class ConeSchemes:
 
     @property
     def sigma(self) -> Ideal:
-        """omega + f(x) + f(y), unsaturated, like operator_ideal."""
+        """E + f(x) + f(y), E the bare `graph_equations`, unsaturated, like
+        operator_ideal.
+
+        omega is E : M^∞, M = m_t·m_z·m_x·m_y the product of the blocks'
+        irrelevant ideals, so sigma ⊆ omega + f(x) + f(y) ⊆ sigma : M^∞, and
+        no reader needs omega's four random saturations: theta saturates by
+        M; prop-2-6 saturates by K ⊆ M (see cone_family_end), and g·M^N ⊆
+        sigma gives g·K^N ⊆ sigma; prop-2-1 reads sigma's t = 1 fibre by
+        case (j) of `Subscheme` (see verify_diagonal_is_component)."""
 
         def build():
-            ring = self.omega.ring
+            ring = self.cd.ring(self.cd.ambient_master())
             fx = self.cd.f_in(ring)
             fy = self.cd.section_form(ring, "y", range(self.cd.nx))
-            return self.omega.ideal.with_extra([fx, fy])
+            return Ideal(ring, graph_equations(self.cd, ring) + [fx, fy])
 
         return self._get("sigma", build)
 
@@ -404,9 +417,11 @@ class ConeSchemes:
 
     @property
     def theta(self) -> Subscheme:
-        """sigma saturated in every block, then by the diagonal part.  No
-        check reads it (see cone_family_end); the oracle tests compare with
-        it, and perfbench/tracer.py looks it up by name."""
+        """sigma saturated in every block, then by the diagonal part:
+        (sigma : M^∞) : diag^∞, the same ideal whether sigma is built from E
+        or from omega (see `sigma`).  No check reads it (see
+        cone_family_end); the oracle tests compare with it, and
+        perfbench/tracer.py looks it up by name."""
         return self._get("theta", lambda: Subscheme(saturate(
             multisaturate(self.sigma, self.ctx), self.diagonal_part.ideal, self.ctx)))
 
@@ -456,11 +471,13 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
 
 
 def sigma_fiber(schemes: ConeSchemes) -> Subscheme:
-    """S, sigma at t = 1 in z x x x y, saturated in x only (by a random
-    form).  prop-2-1 reads S as it reads the full saturation, by case (j)
-    of `Subscheme` (see verify_diagonal_is_component); the x saturation is
-    the one that changes this ideal (x = 0 with f(y) = 0)."""
-    return Subscheme(multisaturate(at_point(schemes.sigma, {"t": (1, 1)}), schemes.ctx, blocks=["x"]))
+    """S, sigma at t = 1 in z x x x y, unsaturated: the bare graph equations
+    with f(x) and f(y) at t = 1, with no block saturation and no random
+    form.  S is the S0 of case (j) of `Subscheme`, so prop-2-1 reads it as
+    it reads the fully saturated fibre (see verify_diagonal_is_component),
+    though S is not saturated itself: at x = 0 only f(y) survives, and
+    S : m_x^∞ is larger than S."""
+    return Subscheme(at_point(schemes.sigma, {"t": (1, 1)}))  # (j)
 
 
 def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[int, int], ...]]:
@@ -473,21 +490,22 @@ def verify_diagonal_is_component(schemes: ConeSchemes) -> Optional[Tuple[Tuple[i
 
     C = at_point(P, t = 1) for the prime P of `diagonal_part` = (t0 - t1) +
     P', P' in k[z, x, y], so C = P' is prime and contains no m_b: it needs
-    no saturation.  dim R/C = n + 4, as V(C) = P^1 x Δ_X.  S is read by case
-    (j) of `Subscheme`, with S0 = at_point(graph equations + f(x) + f(y),
-    t = 1).  Every graph equation is bilinear in x and y, so the irrelevant
-    loci of S0 have Krull dimension at most n + 3:
+    no saturation.  dim R/C = n + 4, as V(C) = P^1 x Δ_X.  S is S0 =
+    at_point(graph equations + f(x) + f(y), t = 1) of case (j) of
+    `Subscheme`.  Every graph equation is bilinear in x and y, so the
+    irrelevant loci of S0 have Krull dimension at most n + 3:
       x = 0: only f(y) survives, in k[z, y];
       y = 0: only f(x) survives, in k[z, x];
       z = 0: the minors x_i·y_j - x_j·y_i, 1 <= i < j <= n+1, survive with
         f(x) and f(y); the minors cut a Cohen-Macaulay domain of dimension
         n + 4 in k[x, y], on which f(x) is a nonzerodivisor (e0 ∈ X or not).
-    omega's saturation and the x saturation of `sigma_fiber` land S in
-    [S0, S0 : m^∞] when their draws avoid every associated prime they must,
-    so prop-2-1 reads S as it reads the fully saturated fibre."""
+    So prop-2-1 reads S as it reads the fully saturated fibre S0 : m^∞, and
+    needs no saturation of S.  As C is prime, √C = C, so V(C) ⊆ V(S) is
+    S ⊆ C: one basis of C and a normal form per generator of S, where a
+    radical test would compute one basis per generator."""
     ctx = schemes.ctx
     S, C = sigma_fiber(schemes), Subscheme(at_point(schemes.diagonal_part.ideal, {"t": (1, 1)}))
-    if not radical_contains_ideal(C.ideal, S.ideal, ctx):
+    if not contains_ideal(C.ideal, S.ideal, ctx):
         return None
     return tuple((T.dimension(ctx), T.degree(ctx)) for T in (S, C))
 
@@ -606,7 +624,17 @@ def cone_family_end(schemes: ConeSchemes, point: Sequence) -> FamilyEndResult:
     (sigma(p) : K'^∞) + delta, K' = t1·(t0 - t1)·t0·m_z·m_y, sigma(p) =
     at_point(sigma, x = p) in R' = t x z x y: modulo delta each x_i is a
     multiple of x_k (p_k != 0), a nonzerodivisor on (R'/sigma(p))[x_k].  So
-    the x block never enters the computation.
+    the x block never enters the computation.  sigma is built from the
+    bare graph equations E, not from omega (see `sigma`); theta is still
+    (sigma : M^∞) : diag^∞, so sigma ⊆ theta ⊆ sigma : (M·diag)^∞ holds
+    as stated.
+
+    The end fibre at t = 0 keeps its z saturation.  sat_all is saturated
+    in z, but its cut at t = 0 need not be, and m_z ∩ k[y] = 0: a component
+    of the fibre on z0 = z1 = 0, primary to m_z + P_y with P_y ⊆ k[y],
+    would survive the elimination of z as a component V(P_y) of the
+    support, all of P^{n+1} when P_y = 0, though no point of the family
+    lies over it.  No proof that the cut has no such component is known.
     """
     ctx = schemes.ctx
     moved = at_point(schemes.sigma, {"x": point})

@@ -84,7 +84,12 @@ class Subscheme:
         J ⊆ √C iff S0 ⊆ √C (g·m^N ⊆ S0 ⊆ C, C is prime and m ⊄ C), and when
         V(C) ⊆ V(J), `hilbert_data(J)` = `hilbert_data(S0)`: J/S0 is
         m-torsion, so it lives in those loci and changes the Hilbert series
-        only below the top dimension (prop-2-1, `verify_diagonal_is_component`);
+        only below the top dimension.  As C is prime, √C = C, so the first
+        reading is S0 ⊆ C: one basis of C and a normal form per generator
+        (`contains_ideal`), with no radical-membership basis.  So S0 itself
+        is read, with no saturation and no random form (prop-2-1: S0 is
+        `sigma_fiber`, the bare graph equations with f(x) and f(y) at
+        t = 1, read by `verify_diagonal_is_component`);
     (k) an elimination read up to saturation ignores a saturation before it:
         with J ∩ k[y] the elimination of the other blocks,
         (J ∩ k[y]) : m_y^∞ = ((J : m_y^∞) ∩ k[y]) : m_y^∞, since

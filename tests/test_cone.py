@@ -14,6 +14,7 @@ from conekit.ideals import (
     EngineContext,
     Ideal,
     contains,
+    contains_ideal,
     hilbert_data,
     ideal_equal,
     intersect,
@@ -325,7 +326,8 @@ def test_directly_wrapped_subschemes_are_saturated(monkeypatch):
 def test_sigma_routes_match_theta_on_quadric(p):
     # prop-2-1 and prop-2-6 start from the unsaturated sigma; on quadric the
     # eager routes through sigma's saturation and theta still finish, so
-    # each result is compared with theirs
+    # each result is compared with theirs (prop-2-1's fibre up to saturation,
+    # as it reads its fibre unsaturated)
     cd = cone.preset("quadric-s2-h1", FieldConfig.parse("Fp:%d" % p))
     ctx = EngineContext(seed=0)
     schemes = cone.ConeSchemes(cd, ctx)
@@ -336,7 +338,7 @@ def test_sigma_routes_match_theta_on_quadric(p):
     at_one = {"t": (1, 1)}
     eager = Subscheme.saturated(
         fiber_by_elimination(Subscheme.saturated(schemes.sigma, ctx).ideal, at_one, ctx), ctx)
-    assert ideal_equal(lazy.ideal, eager.ideal, ctx)
+    assert ideal_equal(Subscheme.saturated(lazy.ideal, ctx).ideal, eager.ideal, ctx)
     fiber_pair, diagonal_pair = cone.verify_diagonal_is_component(schemes)
     assert fiber_pair == diagonal_pair == (3, 6)
     assert is_component(lazy, fiber(schemes.diagonal_part.ideal, at_one, ctx), ctx)
@@ -525,22 +527,24 @@ def instance_schemes(scenario, p):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
 @pytest.mark.parametrize("scenario", [s for s, _ in INSTANCES], ids=[n for _, n in INSTANCES])
 def test_prop_2_1_reads_its_fibre_as_its_saturation(scenario, p):
-    # case (j) of Subscheme: S0 (sigma at t = 1, from omega saturated or
-    # from the bare graph equations), sigma_fiber's S and the fully
-    # saturated fibre have the same Hilbert data and the same radical
-    # containment in C, though S0 is not the saturated fibre
+    # case (j) of Subscheme: S0 (sigma_fiber's S, sigma at t = 1 from the
+    # bare graph equations), the same cut from omega saturated, S0 saturated
+    # in x and the fully saturated fibre have the same Hilbert data, the
+    # same radical containment in C and the same containment in C (C is
+    # prime, so the two agree), though S0 is not the saturated fibre
     cd, schemes = instance_schemes(scenario, p)
     ctx = schemes.ctx
     ring = schemes.omega.ring
-    bare = Ideal(ring, cone.graph_equations(cd, ring)).with_extra(
+    from_omega = schemes.omega.ideal.with_extra(
         [cd.f_in(ring), cd.section_form(ring, "y", range(cd.nx))])
-    S0s = [at_point(schemes.sigma, AT_ONE), at_point(bare, AT_ONE)]
+    S0 = cone.sigma_fiber(schemes).ideal
+    cuts = [S0, at_point(from_omega, AT_ONE)]
     full = fiber(schemes.sigma, AT_ONE, ctx).ideal
     C = at_point(schemes.diagonal_part.ideal, AT_ONE)
-    readings = {(hilbert_data(T, ctx), radical_contains_ideal(C, T, ctx))
-                for T in S0s + [cone.sigma_fiber(schemes).ideal, full]}
+    readings = {(hilbert_data(T, ctx), radical_contains_ideal(C, T, ctx), contains_ideal(C, T, ctx))
+                for T in cuts + [multisaturate(S0, ctx, blocks=["x"]), full]}
     assert len(readings) == 1
-    assert not any(ideal_equal(S0, full, ctx) for S0 in S0s)
+    assert not any(ideal_equal(T, full, ctx) for T in cuts)
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])

@@ -46,10 +46,15 @@ per variable of a monomial form now does it, the first prime made
 (83, 55), the second (45, 32).
 
 prop-2-1 alone on the same scenario is pinned by its block saturations:
-omega's four, the diagonal part's x and the t = 1 fibre's x.  When it
-saturated the diagonal part and both t = 1 fibres in every block, it made
-14 `saturate_block` calls.  omega-consistency and digamma alone make none;
-they made 4 and 3 when they saturated their ideals before comparing them.
+the diagonal part's x, which is exact for any draw, and nothing else.
+When it built sigma from omega, saturated the t = 1 fibre in x and tested
+V(C) ⊆ V(S) by radical membership, it made 6 `saturate_block` calls
+(omega's four, the diagonal part's x and the fibre's x), and on
+quadric-s2-h1 and cubic-3f-h1 it made 17 and 27 `radical_member` calls
+and 6 random draws.  When it saturated the diagonal part and both t = 1
+fibres in every block, it made 14 `saturate_block` calls.
+omega-consistency and digamma alone make none; they made 4 and 3 when
+they saturated their ideals before comparing them.
 """
 
 import os
@@ -125,8 +130,32 @@ def block_saturations(monkeypatch):
 def test_prop_2_1_block_saturations(block_saturations):
     run_scenario(ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991",
                                 checks=("prop-2-1",), seed=0))
-    # 6 calls: omega's t, z, x and y, the diagonal part's x and S's x
-    assert sorted(block_saturations) == ["t", "x", "x", "x", "y", "z"]
+    # the diagonal part's x only
+    assert block_saturations == ["x"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset", ["quadric-s2-h1", "cubic-3f-h1"])
+def test_prop_2_1_draws_once_and_tests_no_radical(preset, monkeypatch):
+    # one random draw, the diagonal part's exact x saturation, and the
+    # containment V(C) ⊆ V(S) read as S ⊆ C with no radical-membership basis
+    calls = {"radical": 0, "rng": 0}
+    radical_member, rng = ideals.radical_member, ideals.EngineContext.rng
+
+    def counted_radical(*args):
+        calls["radical"] += 1
+        return radical_member(*args)
+
+    def counted_rng(self, *tag):
+        calls["rng"] += 1
+        return rng(self, *tag)
+
+    monkeypatch.setattr(ideals, "radical_member", counted_radical)
+    monkeypatch.setattr(ideals.EngineContext, "rng", counted_rng)
+    rep = run_scenario(ScenarioConfig(preset_name=preset, field="Fp:31991",
+                                      checks=("prop-2-1",), seed=0))
+    assert [c["status"] for c in rep["checks"]] == ["PASS"]
+    assert calls == {"radical": 0, "rng": 1}
 
 
 def test_equality_checks_make_no_block_saturation(block_saturations):
