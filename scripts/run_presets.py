@@ -22,9 +22,8 @@ from conekit.fields import DEFAULT_PRIME, SECOND_PRIME
 from conekit.report import (
     ScenarioConfig,
     ScenarioWorkerDied,
+    exit_status,
     report_bytes,
-    report_has_fail,
-    report_has_internal_error,
     run_scenarios,
 )
 
@@ -73,10 +72,7 @@ def main(argv=None):
         for c in rep["checks"]:
             print("   %-*s  %s" % (width, c["name"], c["status"]))
         print("   summary: %s -> %s" % (json.dumps(rep["summary"]), cfg.out_path))
-    # a FAIL verdict is reported first; otherwise a check that raised exits 3
-    if any(report_has_fail(rep) for rep in reports):
-        return 1
-    return 3 if any(report_has_internal_error(rep) for rep in reports) else 0
+    return exit_status(reports)
 
 
 if __name__ == "__main__":

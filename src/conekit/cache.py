@@ -14,16 +14,13 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .fields import Field, PrimeField, QQ, sha256
+from .fields import Field, FieldConfig, sha256
 from .ring import AmbientSpace, Block, Poly, PolyRing, RingError
 
 
 def field_from_name(name: str) -> Field:
-    if name == "Q":
-        return QQ
-    if name.startswith("Fp:"):
-        return PrimeField(int(name[3:]))
-    raise ValueError("unknown field name %r" % name)
+    """The field a cache key names, 'Q' or 'Fp:<p>'."""
+    return FieldConfig.parse(name).field()
 
 
 def ambient_from_key(key) -> AmbientSpace:

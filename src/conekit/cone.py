@@ -14,10 +14,11 @@ The twisted hyperplane combination is pi_x = z1*x0 + z0*x_{n+2-h}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, FieldConfig
+from .fields import FieldConfig
 from .ideals import (
     EngineContext,
     Ideal,
@@ -70,7 +71,7 @@ class ConeData:
         if not 1 <= self.h <= self.n:
             raise ConeDataError("need 1 <= h <= n")
         try:
-            f = self.f_in(self.ring(self.ambient_x()))
+            f = self.f
         except RingError as exc:
             raise ConeDataError("f: %s" % exc)
         if f.is_zero() or not f.is_multihomogeneous():
@@ -99,24 +100,28 @@ class ConeData:
     def ambient_zx(self) -> AmbientSpace:
         return AmbientSpace.product(("z", 2), ("x", self.nx))
 
-    def ring(self, ambient: AmbientSpace, field: Optional[Field] = None) -> PolyRing:
-        return PolyRing(ambient, field if field is not None else self.field_cfg.field())
+    def ring(self, ambient: AmbientSpace) -> PolyRing:
+        return PolyRing(ambient, self.field_cfg.field())
+
+    @cached_property
+    def f(self) -> Poly:
+        """f in the x ring, parsed once; every other ring converts it."""
+        return self.ring(self.ambient_x()).parse(self.f_text)
 
     def f_in(self, ring: PolyRing) -> Poly:
-        return ring.parse(self.f_text)
+        """f in the x block of `ring`."""
+        return ring.convert(self.f)
 
     def f_deg(self) -> int:
-        probe = self.ring(self.ambient_x())
-        return self.f_in(probe).total_degree()
+        return self.f.total_degree()
 
     def section_form(self, ring: PolyRing, block: str, kept: Sequence[int]) -> Poly:
         """f restricted to the subspace where every x_i with i not in `kept`
         is 0, with the k-th kept coordinate renamed to the k-th variable of
         `block`."""
-        src = self.ring(self.ambient_x(), ring.field)
-        zeroed = self.f_in(src).substitute({"x%d" % i: 0 for i in range(self.nx) if i not in kept})
+        zeroed = self.f.substitute({"x%d" % i: 0 for i in range(self.nx) if i not in kept})
         renames = {"x%d" % i: "%s%d" % (block, k) for k, i in enumerate(kept)}
-        return zeroed.map_vars(renames, ring)
+        return ring.convert(zeroed, renames)
 
 
 PRESETS: Dict[str, dict] = {
@@ -199,27 +204,14 @@ def graph_equations(cd: ConeData, ring: PolyRing) -> List[Poly]:
     return [g for g in gens if not g.is_zero()]
 
 
-def build_fiber_product_scheme(cd: ConeData, r: int) -> Subscheme:
-    """Closure of the doubled projection-from-e0 fiber product, for r in {0, h}.
-
-    r=0: all minors x_i*y_j - x_j*y_i with 1 <= i < j <= n+1.
-    r=h: same minors up to n+1-h, plus x_i = y_i = 0 beyond.
-    """
-    if r not in (0, cd.h):
-        raise ConeDataError("only r = 0 and r = h are supported")
+def build_fiber_product_scheme(cd: ConeData) -> Subscheme:
+    """Closure of the doubled projection-from-e0 fiber product: the minors
+    x_i*y_j - x_j*y_i with 1 <= i < j <= n+1."""
     ring = cd.ring(cd.ambient_xy())
     x = ring.block_vars("x")
     y = ring.block_vars("y")
-    top = cd.nx - 1 - r  # largest index kept in the minors
-    gens: List[Poly] = []
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
-            gens.append(x[i] * y[j] - x[j] * y[i])
-    for i in range(top + 1, cd.nx):
-        gens.append(x[i])
-        gens.append(y[i])
-    # (d): generic 2x2 minors plus linear forms in other variables
-    return Subscheme(Ideal(ring, gens))
+    gens = [x[i] * y[j] - x[j] * y[i] for i in range(1, cd.nx) for j in range(i + 1, cd.nx)]
+    return Subscheme(Ideal(ring, gens))  # (d): generic 2x2 minors
 
 
 def diagonal_component_ideal(cd: ConeData, ring: PolyRing) -> Ideal:
@@ -467,7 +459,7 @@ def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
     equals the r=0 fiber-product scheme."""
     cd, ctx = schemes.cd, schemes.ctx
     fib = fiber(schemes.omega.ideal, {"t": (1, 1), "z": (1, 0)}, ctx)
-    return ideal_equal(fib.ideal, build_fiber_product_scheme(cd, 0).ideal, ctx)
+    return ideal_equal(fib.ideal, build_fiber_product_scheme(cd).ideal, ctx)
 
 
 def sigma_fiber(schemes: ConeSchemes) -> Subscheme:
@@ -552,7 +544,7 @@ def covering_draws(cd: ConeData, ctx: EngineContext):
         rng = ctx.rng("w-covering", k)
         z = (F.sample_nonzero(rng), F.sample_nonzero(rng))
         at_z = {"z0": twisted.source_ring.const(z[0]), "z1": twisted.source_ring.const(z[1])}
-        forms = tuple(g.substitute(at_z).map_vars({}, ring_x) for g in twisted.forms)
+        forms = tuple(ring_x.convert(g.substitute(at_z)) for g in twisted.forms)
         probe_ctx = EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed + 1000 + k)
         pt = random_point(X, probe_ctx)
         if pt is None:
@@ -699,7 +691,6 @@ class SplitReport:
     gamma_dim_ok: bool
     mult_diag: Optional[Fraction]
     mult_special: Optional[Fraction]
-    dominance_ok: bool
     dims: Tuple[int, int]
 
 
@@ -737,9 +728,10 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     split by `saturated_split`.
 
     The dominance pattern over the z line holds by construction, so
-    `dominance_ok` is set, not computed: gamma1 is generated in k[x, y], so
-    it meets k[z] in (0) and dominates the line; gamma2 is (z1) plus an
-    ideal of k[x, y], so it meets k[z] in (z1) and lies over z = 0 only."""
+    check_split_components writes it and nothing computes it: gamma1 is
+    generated in k[x, y], so it meets k[z] in (0) and dominates the line;
+    gamma2 is (z1) plus an ideal of k[x, y], so it meets k[z] in (z1) and
+    lies over z = 0 only."""
     cd, ctx = schemes.cd, schemes.ctx
     G = schemes.projection_graph
     cut, gamma1, gamma2 = split_components(cd, G.ring)
@@ -755,7 +747,6 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
         gamma_dim_ok=d1 == want and d2 == want,
         mult_diag=m1,
         mult_special=m2,
-        dominance_ok=True,
         dims=(d1, d2),
     )
 
@@ -798,7 +789,7 @@ def _delta_in_x(cd: ConeData, delta_y: Ideal, ring: PolyRing) -> List[Poly]:
     section's equations x_{n+2-h} = ... = x_{n+1} = 0 appended."""
     renames = {"y%d" % i: "x%d" % i for i in range(cd.pivot)}
     x = ring.block_vars("x")
-    return [g.map_vars(renames, ring) for g in delta_y.gens] + x[cd.pivot:]
+    return [ring.convert(g, renames) for g in delta_y.gens] + x[cd.pivot:]
 
 
 def verify_operator_degree_split(
@@ -862,10 +853,9 @@ def verify_image_in_linear_section(
     correspondence E0 and certify the image's support sits inside a linear
     section of matching codimension.  The image, (E0 + delta) : m_x^∞ with
     x eliminated, is E0 at x = point (see at_point), as its reduced basis."""
-    img = at_point(build_fiber_product_scheme(schemes.cd, 0).ideal, {"x": point})
-    img = Ideal(img.ring, schemes.ctx.groebner(img))
+    img = at_point(build_fiber_product_scheme(schemes.cd).ideal, {"x": point})
     forms = linear_forms_in(img, "y", schemes.ctx)
-    return len(forms) >= codim, img
+    return len(forms) >= codim, Ideal(img.ring, schemes.ctx.groebner(img))
 
 
 def join_support_matches_operator(

@@ -178,7 +178,7 @@ def is_unit_ideal(ideal: Ideal, ctx: EngineContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# ring plumbing: fresh auxiliary variables, moving ideals between rings
+# ring plumbing: fresh auxiliary variables
 
 
 def fresh_block_name(ambient: AmbientSpace, base: str) -> str:
@@ -195,10 +195,6 @@ def _with_aux_var(ring: PolyRing, base: str) -> Tuple[PolyRing, Poly, str]:
     ext = ring.ambient.extend(Block(name, 1, projective=False))
     ring2 = PolyRing(ext, ring.field)
     return ring2, ring2.var(name + "0"), name
-
-
-def move_ideal(ideal: Ideal, target: PolyRing) -> Ideal:
-    return Ideal(target, [target.convert(g) for g in ideal.gens])
 
 
 def _with_inverse(ideal: Ideal, g: Poly) -> Tuple[Ideal, str]:
@@ -246,7 +242,7 @@ def intersect(a: Ideal, b: Ideal, ctx: EngineContext) -> Ideal:
     one_minus_u = ring2.one() - u
     gens += [one_minus_u * ring2.convert(g) for g in b.gens]
     elim = eliminate(Ideal(ring2, gens), [block], ctx)
-    return move_ideal(elim, ring)
+    return Ideal(ring, [ring.convert(g) for g in elim.gens])
 
 
 def exact_div(p: Poly, g: Poly) -> Poly:
@@ -331,7 +327,8 @@ def saturate_by_poly(ideal: Ideal, g: Poly, ctx: EngineContext) -> Ideal:
     ring = ideal.ring
     if any(sum(m) != 1 for m in g.terms) or not ideal.is_homogeneous():
         extended, block = _with_inverse(ideal, g)
-        return move_ideal(eliminate(extended, [block], ctx), ring)
+        elim = eliminate(extended, [block], ctx)
+        return Ideal(ring, [ring.convert(h) for h in elim.gens])
     support = sorted(g.variables())
     idx = support[-1]
     back = None

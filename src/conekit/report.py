@@ -44,6 +44,18 @@ class ScenarioWorkerDied(Exception):
     """A run_scenarios pool worker died before it answered its scenario."""
 
 
+def is_text_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def check_types(d: dict, rules) -> None:
+    """Raise ConfigError for the first (key, ok, what) rule whose key is in
+    the JSON object d with a value that `ok` rejects."""
+    for key, ok, what in rules:
+        if key in d and not ok(d[key]):
+            raise ConfigError("%s must be %s, not %r" % (key, what, d[key]))
+
+
 # each resource cap: its key in a scenario's "caps" object, its ResourceCaps field
 CAP_KEYS = (
     ("max-basis", "max_basis"),
@@ -114,18 +126,15 @@ class ScenarioConfig:
                     and type(cdd.get("h")) is int and isinstance(cdd.get("f"), str)):
                 raise ConfigError("cone-data needs integer n, h and text f, not %r" % (cdd,))
             lit = (cdd["n"], cdd["h"], cdd["f"])
-        for key, ok, what in (
+        check_types(d, (
             ("preset", lambda v: v is None or isinstance(v, str), "a preset name"),
             ("seed", lambda v: type(v) is int, "an integer"),
             ("field", lambda v: isinstance(v, str), "a string"),
-            ("checks", lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
-             "a list of check names"),
+            ("checks", is_text_list, "a list of check names"),
             ("cache-dir", lambda v: v is None or isinstance(v, str), "a path string"),
             ("out", lambda v: v is None or isinstance(v, str), "a path string"),
             ("timings", lambda v: type(v) is bool, "true or false"),
-        ):
-            if key in d and not ok(d[key]):
-                raise ConfigError("%s must be %s, not %r" % (key, what, d[key]))
+        ))
         return cls(
             preset_name=d.get("preset"),
             cone_literal=lit,
@@ -370,5 +379,11 @@ def report_has_fail(report: dict) -> bool:
     return any(r["status"] == FAIL for r in report["checks"])
 
 
-def report_has_internal_error(report: dict) -> bool:
-    return any(INTERNAL_ERROR in r["witnesses"] for r in report["checks"])
+def exit_status(reports: List[dict]) -> int:
+    """The exit status of a run: 1 if a check reads FAIL, else 3 if a check
+    raised (an `internal-error` witness), else 0.  A FAIL verdict is
+    reported first."""
+    if any(report_has_fail(rep) for rep in reports):
+        return 1
+    raised = any(INTERNAL_ERROR in r["witnesses"] for rep in reports for r in rep["checks"])
+    return 3 if raised else 0

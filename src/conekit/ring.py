@@ -95,10 +95,6 @@ class AmbientSpace:
     def extend(self, block: Block) -> "AmbientSpace":
         return AmbientSpace(self.blocks + (block,))
 
-    def index_map_to(self, other: "AmbientSpace") -> List[int]:
-        """For each of our variables, its index in `other` (shared names required)."""
-        return [other.var_index(n) for n in self.varnames]
-
     def key(self) -> tuple:
         return self._key
 
@@ -252,23 +248,30 @@ class PolyRing:
 
     # conversion ---------------------------------------------------------
 
-    def convert(self, p: "Poly") -> "Poly":
-        """Map a polynomial from a ring with name-compatible variables."""
-        if p.ring is self or p.ring == self:
-            if p.ring.field == self.field:
-                return Poly(self, dict(p.terms))
-        idx = p.ring.ambient.index_map_to(self.ambient)
-        same_field = p.ring.field == self.field
+    def convert(self, p: "Poly", renames: Optional[Dict[str, str]] = None) -> "Poly":
+        """p moved to this ring, the one way a polynomial changes rings: each
+        variable p uses goes to the variable of the same name here, or of
+        the name `renames` gives it.  The fields must agree."""
+        if p.ring.field != self.field:
+            raise AmbientMismatch("cannot convert between different fields")
+        if p.ring == self and not renames:
+            return Poly(self, p.terms)
+        renames = renames or {}
+        index = self.ambient._index
+        # -1: the name is not a variable here, an error only if p uses it
+        target = [index.get(renames.get(n, n), -1) for n in p.ring.ambient.varnames]
         out: Dict[Monomial, object] = {}
         for m, c in p.terms.items():
             nm = [0] * self.nvars
             for i, e in enumerate(m):
                 if e:
-                    nm[idx[i]] = e
-            if not same_field:
-                raise AmbientMismatch("cannot convert between different fields")
-            out[tuple(nm)] = c
-        return Poly(self, out)
+                    if target[i] < 0:
+                        name = p.ring.ambient.varnames[i]
+                        raise RingError("unknown variable %r" % renames.get(name, name))
+                    nm[target[i]] += e
+            key = tuple(nm)
+            out[key] = out.get(key, 0) + c
+        return self.from_terms(out)
 
     def parse(self, text: str) -> "Poly":
         return parse_poly(self, text)
@@ -441,26 +444,6 @@ class Poly:
     def substitute(self, assignment: Dict[str, "Poly"]) -> "Poly":
         """Substitute polynomials for variables named in `assignment`."""
         return substitute_all([self], assignment)[0]
-
-    def map_vars(self, renames: Dict[str, str], target: PolyRing) -> "Poly":
-        """Move to `target` ring sending variable name -> name."""
-        src = self.ring.ambient
-        used = {i for m in self.terms for i, e in enumerate(m) if e}
-        mapping: List[int] = []
-        for i, n in enumerate(src.varnames):
-            if i in used:
-                mapping.append(target.ambient.var_index(renames.get(n, n)))
-            else:
-                mapping.append(-1)  # variable absent from this polynomial
-        out: Dict[Monomial, object] = {}
-        for m, c in self.terms.items():
-            nm = [0] * target.nvars
-            for i, e in enumerate(m):
-                if e:
-                    nm[mapping[i]] += e
-            key = tuple(nm)
-            out[key] = out.get(key, 0) + c
-        return target.from_terms(out)
 
     # printing -----------------------------------------------------------
 

@@ -285,7 +285,7 @@ def at_point(ideal: Ideal, at: Dict[str, Sequence]) -> Ideal:
     values = {ring.ambient.varnames[i]: ring.const(c) for block, coords in at.items()
               for i, c in zip(ring.ambient.block_range(block), _point_values(ring, block, coords))}
     target = PolyRing(ring.ambient.without(at), ring.field)
-    return Ideal(target, [g.map_vars({}, target) for g in substitute_all(ideal.gens, values)])
+    return Ideal(target, [target.convert(g) for g in substitute_all(ideal.gens, values)])
 
 
 def fiber(ideal: Ideal, at: Dict[str, Sequence], ctx: EngineContext) -> Subscheme:

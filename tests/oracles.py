@@ -204,7 +204,7 @@ def incidence_join(A, B, ctx):
                             + x[k] * (p[i] * q[j] - p[j] * q[i]))
     for name, S in ((p_name, A), (q_name, B)):
         rename = {blk.name + str(i): name + str(i) for i in range(n)}
-        gens += [g.map_vars(rename, ring) for g in S.ideal.gens]
+        gens += [ring.convert(g, rename) for g in S.ideal.gens]
     diag = Ideal(ring, [p[i] * q[j] - p[j] * q[i] for i in range(n) for j in range(i + 1, n)])
     incidence = saturate(Ideal(ring, gens), diag, ctx)
     return Subscheme.saturated(eliminate(incidence, [p_name, q_name], ctx), ctx)

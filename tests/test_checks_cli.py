@@ -40,6 +40,7 @@ from conekit.ideals import EngineContext
 from conekit.report import (
     ConfigError,
     ScenarioConfig,
+    exit_status,
     load_scenario,
     report_bytes,
     report_has_fail,
@@ -129,6 +130,21 @@ def test_point_checks_not_applicable_over_rationals(name):
     assert out.status == NOT_APPLICABLE
     assert any("needs a prime field" in n for n in out.notes)
     assert "second-prime" not in out.witnesses
+
+
+def test_over_rationals_exactly_the_randomized_checks_are_not_applicable(monkeypatch):
+    # every check is stubbed to PASS, so only run_check's own rule can make
+    # one NOT-APPLICABLE; the gate is built by hand for the same reason
+    cd = cone.preset("quadric-s2-h1", FieldConfig.parse("Q"))
+    gate = cone.GenericityReport(True, True, True, cone.expansion_pencil(cd), rejected=False)
+    for name in CHECK_ORDER:
+        monkeypatch.setitem(CHECKS, name, dataclasses.replace(
+            CHECKS[name], fn=lambda cd, ctx: CheckOutcome(PASS)))
+    statuses = {name: run_check(name, cd, CTX, gate).status for name in CHECK_ORDER}
+    not_applicable = {name for name, s in statuses.items() if s == NOT_APPLICABLE}
+    assert not_applicable == {name for name in CHECK_ORDER if CHECKS[name].randomized}
+    assert not_applicable == {"w-covering", "prop-2-5", "prop-2-6", "example-3-2", "formula-3-5"}
+    assert set(statuses.values()) == {PASS, NOT_APPLICABLE}
 
 
 def test_two_prime_wrapper_records_second_prime():
@@ -633,6 +649,46 @@ def test_cli_verify_unusable_path_exit_2(tmp_path, monkeypatch, capsys, where, k
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message.format(path, os.path.dirname(path)))
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["flag", "scenarios"])
+def test_cli_verify_shared_out_path_exit_2(tmp_path, monkeypatch, capsys, where):
+    # two scenarios written to one path left only the second report, and
+    # the run exited 0; the second scenario's path names the same file by
+    # another spelling
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    if where == "flag":
+        argv = ["verify", "--scenario", "quadric-s2-h1", "--scenario", "cubic-3f-h1",
+                "--checks", "expansion-g", "--out", "r.json"]
+        second = "r.json"
+    else:
+        second = os.path.join("sub", os.pardir, "r.json")
+        argv = ["verify", "--checks", "expansion-g"]
+        for i, (preset, out) in enumerate((("quadric-s2-h1", "r.json"), ("cubic-3f-h1", second))):
+            (tmp_path / ("s%d.json" % i)).write_text(json.dumps({"preset": preset, "out": out}))
+            argv += ["--scenario", "s%d.json" % i]
+
+    def no_run(configs, jobs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("conekit.cli.run_scenarios", no_run)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: out %r is the report path of two scenarios\n" % second)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_exit_status_ranks_fail_over_fault_over_clean():
+    def rep(status, raised=False):
+        return {"checks": [{"status": status,
+                            "witnesses": {INTERNAL_ERROR: "RuntimeError: x"} if raised else {}}]}
+
+    clean, fault, fail = rep(PASS), rep(INCONCLUSIVE, raised=True), rep(FAIL)
+    assert exit_status([]) == 0
+    assert exit_status([clean, rep(NOT_APPLICABLE), rep(INCONCLUSIVE)]) == 0
+    assert exit_status([clean, fault]) == 3
+    assert exit_status([fault, fail]) == exit_status([fail, clean]) == 1
 
 
 @pytest.mark.parametrize("spec", ["Fp:4", "Fp:x", "Z"])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conekit.fields import DEFAULT_PRIME, PrimeField, QQ
 from conekit.ring import (
+    AmbientMismatch,
     AmbientSpace,
     BlockElimOrder,
     GrevlexOrder,
@@ -266,7 +267,7 @@ def test_substitute_and_map_vars():
     p = x0 * x0 + x1 * x2
     assert p.substitute({"x1": 0}) == x0 * x0
     small = PolyRing(AmbientSpace.product(("y", 2)), FP)
-    q = (x0 * x0).map_vars({"x0": "y1"}, small)
+    q = small.convert(x0 * x0, {"x0": "y1"})
     assert poly_str(q) == "y1^2"
 
 
@@ -344,3 +345,25 @@ def test_ambient_without_and_convert():
     small = PolyRing(sub, FP)
     p = small.parse("x0*x1")
     assert poly_str(big.convert(p)) == "x0*x1"
+
+
+def test_convert_renames_only_the_variables_it_uses():
+    big = PolyRing(AmbientSpace.product(("x", 2), ("y", 2)), FP)
+    small = PolyRing(AmbientSpace.product(("y", 2)), FP)
+    # x1 has no place in `small`, but the polynomial does not use it
+    assert small.convert(big.parse("x0^2 + 3*y1"), {"x0": "y0"}) == small.parse("y0^2 + 3*y1")
+    with pytest.raises(RingError):
+        small.convert(big.parse("x1*y0"))
+    # two variables sent to one: their terms add, and a zero sum drops out
+    assert small.convert(big.parse("x0*y1 - x1*y1 + y0"), {"x0": "y0", "x1": "y0"}) == small.parse("y0")
+
+
+@pytest.mark.parametrize("renames", [None, {"x0": "y1"}])
+def test_convert_across_fields_raises(renames):
+    # a Fraction coefficient must not reach a prime field's ring, renamed or not
+    src = PolyRing(AmbientSpace.product(("x", 2)), QQ)
+    target = PolyRing(AmbientSpace.product(("x", 2), ("y", 2)), PrimeField(7))
+    with pytest.raises(AmbientMismatch):
+        target.convert(src.parse("1/2*x0 + x1"), renames)
+    with pytest.raises(AmbientMismatch):
+        target.convert(src.zero(), renames)
