@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -119,16 +119,14 @@ def _section_delta(cd: ConeData, ctx: EngineContext) -> Tuple[Optional[Ideal], s
 
 
 def check_omega_consistency(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
-    schemes = ConeSchemes(cd, ctx)
-    if verify_graph_consistency(schemes):
+    same, E, G = verify_graph_consistency(ConeSchemes(cd, ctx))
+    if same:
         return CheckOutcome(PASS)
-    return CheckOutcome(
-        FAIL,
-        witnesses={
-            "equation-ideal": _gens_text(schemes.omega.ideal),
-            "map-graph-ideal": _gens_text(schemes.omega_from_map.ideal),
-        },
-    )
+    witnesses = {"equation-ideal": _gens_text(E), "map-graph-ideal": _gens_text(G)}
+    if same is None:
+        witnesses["note"] = "the equation system lies strictly inside the map-graph closure"
+        return CheckOutcome(INCONCLUSIVE, witnesses=witnesses)
+    return CheckOutcome(FAIL, witnesses=witnesses)
 
 
 def check_e0_fiber(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
@@ -246,12 +244,10 @@ def check_split_components(cd: ConeData, ctx: EngineContext) -> CheckOutcome:
         # holds by construction (see verify_split_components)
         "dominance-pattern-ok": True,
     }
-    ok = (
-        rep.certified
-        and rep.gamma_dim_ok
-        and rep.mult_diag == 1
-        and rep.mult_special == 1
-    )
+    if rep.certified is None and rep.gamma_dim_ok:
+        witnesses["note"] = "the cut graph lies strictly inside the intersection of the components"
+        return CheckOutcome(INCONCLUSIVE, witnesses=witnesses)
+    ok = rep.certified and rep.gamma_dim_ok
     return CheckOutcome(PASS if ok else FAIL, witnesses=witnesses)
 
 
@@ -331,13 +327,13 @@ _register(
     "section 2.1/2.2 bridge: equation (2.9) graph description vs the explicit system (2.18)",
     "The family graph closure computed from the explicit multihomogeneous "
     "equation system equals the one computed independently as a rational-map "
-    "graph closure, after saturation. The map-graph closure is exact: over the "
+    "graph closure, after saturation. The map-graph closure G is exact: over the "
     "full product ring it is saturated by one monomial form, variable by "
-    "variable, with no random draw. When the bare "
-    "system already equals it, that equality is the PASS: no block saturation "
-    "and no random form on that path. Otherwise the system is "
-    "saturated in every block by random linear forms (Monte Carlo) and compared "
-    "again.",
+    "variable. The bare system E is compared with G by two ideal containments, "
+    "with no block saturation and no random draw on any path: E = G is the PASS "
+    "(an ideal equal to a saturated one is saturated); E not inside G is a FAIL "
+    "(some equation does not vanish on the graph); E strictly inside G is "
+    "INCONCLUSIVE, naming both ideals, as only a saturation of E could decide it.",
     False,
     check_omega_consistency,
 )
@@ -350,10 +346,11 @@ _register(
     "part, are set to t = 1 (exact): "
     "PASS iff V(C) lies in V(S), dim S = dim C and deg S = deg C, as C "
     "is irreducible (the genericity gate certifies X smooth); FAIL when V(C) is not "
-    "in V(S), else INCONCLUSIVE. No omega and no random form: S is read unsaturated, "
+    "in V(S), else INCONCLUSIVE (V(C) in V(S) with other dimension or degree "
+    "pairs). No omega and no random draw on any path: S is read unsaturated, "
     "as no saturation of it can change what the check reads, and C is prime, so V(C) "
     "lies in V(S) iff S lies in C, one ideal containment. The one saturation is the "
-    "diagonal part's in x, which is exact whatever linear form it draws.",
+    "diagonal part's by x0, which is exact for every nonzero linear x-form.",
     False,
     check_diagonal_component,
 )
@@ -412,11 +409,12 @@ _register(
     "reduced components of the stated dimension. The dominance-pattern-ok "
     "witness (one component onto the subspace parameter line, the other over "
     "its unsteady point only) records a property of the hand-built components, "
-    "which holds by construction; it is not a computed test. When the cut graph "
-    "already equals the intersection of the two components, that equality "
-    "certifies the union and both multiplicities 1 exactly: no block saturation "
-    "and no random form on that path. Otherwise the cut graph is saturated in "
-    "every block and split by random saturations (Monte Carlo).",
+    "which holds by construction; it is not a computed test. The cut graph is "
+    "compared with the intersection of the two components by two containments, "
+    "with no saturation and no random draw on any path: equality certifies the "
+    "union and both multiplicities 1 exactly (PASS); a cut-graph generator "
+    "outside it, or a wrong dimension, is a FAIL; a cut graph strictly inside "
+    "it is INCONCLUSIVE, as only a saturation could decide it.",
     False,
     check_split_components,
 )
@@ -555,14 +553,7 @@ def second_prime_data(cd: ConeData, ctx: EngineContext) -> Tuple[ConeData, Engin
     """The instance over the second prime (SECOND_PRIME, or DEFAULT_PRIME
     when cd is already over SECOND_PRIME), and a fresh context with ctx's
     caps, cache and seed."""
-    cd2 = ConeData(
-        n=cd.n,
-        h=cd.h,
-        f_text=cd.f_text,
-        field_cfg=FieldConfig(kind="prime-field", p=_alt_prime(cd.field_cfg.p),
-                              seed=cd.field_cfg.seed),
-        label=cd.label,
-    )
+    cd2 = replace(cd, field_cfg=FieldConfig(kind="prime-field", p=_alt_prime(cd.field_cfg.p)))
     return cd2, EngineContext(caps=ctx.caps, cache=ctx.cache, seed=ctx.seed)
 
 

@@ -162,10 +162,11 @@ def _load_ideal_file(data) -> Tuple[PolyRing, List[Poly]]:
     """The ring an ideal file declares, and its generators parsed there."""
     if not isinstance(data, dict):
         raise ConfigError("ideal file must hold a JSON object")
-    try:
-        blocks = [(str(b[0]), int(b[1])) for b in data["blocks"]]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError("ideal file needs blocks [[name, size], ...]: %s" % exc)
+    blocks = data.get("blocks")
+    if not (isinstance(blocks, list) and all(
+            isinstance(b, list) and len(b) == 2 and isinstance(b[0], str) and type(b[1]) is int
+            for b in blocks)):
+        raise ConfigError("ideal file needs blocks [[name, size], ...], not %r" % (blocks,))
     check_types(data, (
         ("field", lambda v: isinstance(v, str), "a string"),
         ("affine", is_text_list, "a list of block names"),

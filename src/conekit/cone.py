@@ -351,11 +351,10 @@ class ConeSchemes:
     @property
     def omega(self) -> Subscheme:
         """The twist's graph closure from its explicit equations E, saturated
-        in every block by random forms.  No heavy check reads it (see
-        `sigma`).  Its readers are omega-consistency's fallback and FAIL
-        witness (when E differs from the map-graph closure), `E0_FIBER_CHECK`
-        (`projected_fiber_matches_fiber_product`), and perfbench/tracer.py,
-        which looks it up by name."""
+        in every block by random forms.  No check reads it: omega-consistency
+        and `projected_fiber_matches_fiber_product` read E itself (cases (l)
+        and (d)), and sigma is built from E (see `sigma`).  Like `theta`, it
+        stays because perfbench/tracer.py looks it up by name."""
 
         def build():
             ring = self.cd.ring(self.cd.ambient_master())
@@ -391,7 +390,7 @@ class ConeSchemes:
     @property
     def diagonal_part(self) -> Subscheme:
         """P, the prime of {t = 1} x (z line) x {x ∝ y, [x] ∈ X}: the
-        diagonal ideal D0 = (t0 - t1) + I2(x, y) + f(x) saturated in x.
+        diagonal ideal D0 = (t0 - t1) + I2(x, y) + f(x) saturated by x0.
 
         R/I2 is a Cohen-Macaulay domain (Eagon & Northcott, Proc. Roy. Soc.
         A 269, 1962), and f(x) is a nonzerodivisor on it (I2 lives in
@@ -399,13 +398,16 @@ class ConeSchemes:
         (t0 - t1) + m_x.  D0 is reduced along P, since the genericity gate
         certifies X smooth, so D0 = P ∩ Q with Q primary to (t0 - t1) + m_x.
         P meets k[x] in (f) and deg f >= 2, so no nonzero linear x-form ℓ
-        lies in P, while ℓ lies in √Q: D0 : ℓ^∞ = P whatever ℓ the x
-        saturation draws.  P is a prime that contains no m_b, so P : m_b^∞
-        = P for every block b.  D0 itself is not saturated: it holds
-        f(y)·m_x^deg(f), not f(y)."""
-        return self._get("diag", lambda: Subscheme(multisaturate(
-            diagonal_component_ideal(self.cd, self.cd.ring(self.cd.ambient_master())),
-            self.ctx, blocks=["x"])))
+        lies in P, while ℓ lies in √Q: D0 : ℓ^∞ = P for every nonzero
+        linear x-form ℓ, so x0 serves and no form is drawn.  P is a prime
+        that contains no m_b, so P : m_b^∞ = P for every block b.  D0 itself
+        is not saturated: it holds f(y)·m_x^deg(f), not f(y)."""
+
+        def build():
+            D0 = diagonal_component_ideal(self.cd, self.cd.ring(self.cd.ambient_master()))
+            return Subscheme(saturate_by_poly(D0, D0.ring.var("x0"), self.ctx))
+
+        return self._get("diag", build)
 
     @property
     def theta(self) -> Subscheme:
@@ -439,27 +441,34 @@ class ConeSchemes:
 # verification computations
 
 
-def verify_graph_consistency(schemes: ConeSchemes) -> bool:
-    """The explicit equation system and the independent map-graph closure
-    cut the same saturated ideal.
+def _inside_or_equal(A: Ideal, B: Ideal, ctx: EngineContext) -> Optional[bool]:
+    """True when A = B, False when A ⊄ B, None when A ⊊ B."""
+    if not contains_ideal(B, A, ctx):
+        return False
+    return True if contains_ideal(A, B, ctx) else None
 
-    G, the map-graph closure, is the graph's prime, saturated in every
-    block and exact (case (a) of `Subscheme`).  When E, the bare equation
-    system, already equals G, then E : m^∞ = G, case (l), and `omega` is
-    not built.  Otherwise `omega`, E saturated in every block, is compared
-    with G."""
+
+def verify_graph_consistency(schemes: ConeSchemes) -> Tuple[Optional[bool], Ideal, Ideal]:
+    """Whether E, the explicit equation system, cuts the map-graph closure
+    G (exact by case (a) of `Subscheme`), decided by case (l): True when
+    E = G, False when E ⊄ G (an equation does not vanish on the graph),
+    None when E ⊊ G, which only a saturation of E could decide; and E, G."""
     ctx = schemes.ctx
     G = schemes.omega_from_map.ideal
     E = Ideal(G.ring, graph_equations(schemes.cd, G.ring))
-    return ideal_equal(E, G, ctx) or ideal_equal(schemes.omega.ideal, G, ctx)
+    return _inside_or_equal(E, G, ctx), E, G
 
 
 def projected_fiber_matches_fiber_product(schemes: ConeSchemes) -> bool:
     """The graph's fiber over (t, z) = (1, unsteady), projected to x x y,
-    equals the r=0 fiber-product scheme."""
-    cd, ctx = schemes.cd, schemes.ctx
-    fib = fiber(schemes.omega.ideal, {"t": (1, 1), "z": (1, 0)}, ctx)
-    return ideal_equal(fib.ideal, build_fiber_product_scheme(cd).ideal, ctx)
+    equals the r=0 fiber-product scheme.  Read from E, the bare graph
+    equations, which are the closure where omega-consistency passes (case
+    (l)): E at the point is, term for term, the minors x_i·y_j - x_j·y_i,
+    1 <= i < j <= n+1, a prime with no m_b (case (d)), so no saturation."""
+    cd = schemes.cd
+    ring = cd.ring(cd.ambient_master())
+    fib = at_point(Ideal(ring, graph_equations(cd, ring)), {"t": (1, 1), "z": (1, 0)})
+    return ideal_equal(fib, build_fiber_product_scheme(cd).ideal, schemes.ctx)
 
 
 def sigma_fiber(schemes: ConeSchemes) -> Subscheme:
@@ -687,7 +696,7 @@ def pushforward_degree(gamma: Ideal, image: Subscheme, ctx: EngineContext) -> Op
 
 @dataclass
 class SplitReport:
-    certified: bool
+    certified: Optional[bool]  # None: undecided (see verify_split_components)
     gamma_dim_ok: bool
     mult_diag: Optional[Fraction]
     mult_special: Optional[Fraction]
@@ -722,10 +731,10 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
 
     gamma1 and gamma2 are distinct primes with no m_b, case (d); z1 lies in
     gamma2 and not in gamma1, and x0*y1 - x1*y0 in gamma1 and not in
-    gamma2.  So when the cut graph G + cut equals gamma1 ∩ gamma2, case (m)
-    certifies the union and both multiplicities 1 exactly, with no
-    saturation.  Otherwise the cut graph is saturated in every block and
-    split by `saturated_split`.
+    gamma2.  So case (m) decides from the cut graph G + cut and gamma1 ∩
+    gamma2, with no saturation and no draw: equal certifies the union and
+    both multiplicities 1 (certified True), not inside misses a component
+    (False), and strictly inside is left open (None, multiplicities None).
 
     The dominance pattern over the z line holds by construction, so
     check_split_components writes it and nothing computes it: gamma1 is
@@ -735,11 +744,9 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
     cd, ctx = schemes.cd, schemes.ctx
     G = schemes.projection_graph
     cut, gamma1, gamma2 = split_components(cd, G.ring)
-    cut_graph = G.ideal.with_extra(cut)
-    if ideal_equal(cut_graph, intersect(gamma1.ideal, gamma2.ideal, ctx), ctx):
-        certified, m1, m2 = True, Fraction(1), Fraction(1)  # (m)
-    else:
-        certified, m1, m2 = saturated_split(cut_graph, gamma1, gamma2, ctx)
+    certified = _inside_or_equal(G.ideal.with_extra(cut),
+                                 intersect(gamma1.ideal, gamma2.ideal, ctx), ctx)
+    m1 = m2 = Fraction(1) if certified else None  # (m)
     want = cd.n + 2 - cd.h
     d1, d2 = gamma1.dimension(ctx), gamma2.dimension(ctx)
     return SplitReport(
@@ -749,24 +756,6 @@ def verify_split_components(schemes: ConeSchemes) -> SplitReport:
         mult_special=m2,
         dims=(d1, d2),
     )
-
-
-def saturated_split(
-    cut_graph: Ideal, gamma1: Subscheme, gamma2: Subscheme, ctx: EngineContext
-) -> Tuple[bool, Optional[Fraction], Optional[Fraction]]:
-    """Whether the cut graph, saturated in every block, is gamma1 ∪ gamma2
-    up to radical, and the multiplicity of each in it, read from
-    saturations by random forms.  A multiplicity that is not defined, and
-    any after it, is None."""
-    gamma = Subscheme.saturated(cut_graph, ctx)
-    certified = union_certify(gamma, [gamma1, gamma2], ctx)
-    m1 = m2 = None
-    try:
-        m1 = component_multiplicity(gamma, gamma1, [gamma2], ctx)
-        m2 = component_multiplicity(gamma, gamma2, [gamma1], ctx)
-    except SchemeError:
-        pass
-    return certified, m1, m2
 
 
 @dataclass

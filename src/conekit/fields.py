@@ -174,7 +174,8 @@ QQ = RationalField()
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Scenario-level field selection plus the RNG seed for sampling."""
+    """Scenario-level field selection.  `seed` and `rng` serve callers that
+    draw their own values; the checks draw from `EngineContext.rng`."""
 
     kind: str = "prime-field"  # "rationals" | "prime-field"
     p: int = DEFAULT_PRIME

@@ -56,6 +56,13 @@ def check_types(d: dict, rules) -> None:
             raise ConfigError("%s must be %s, not %r" % (key, what, d[key]))
 
 
+def _reject_unknown_keys(d: dict, known, what: str) -> None:
+    """Raise ConfigError for the first key of the JSON object d not in `known`."""
+    unknown = sorted(k for k in d if k not in known)
+    if unknown:
+        raise ConfigError("unknown %s key %r (valid: %s)" % (what, unknown[0], ", ".join(known)))
+
+
 # each resource cap: its key in a scenario's "caps" object, its ResourceCaps field
 CAP_KEYS = (
     ("max-basis", "max_basis"),
@@ -63,6 +70,8 @@ CAP_KEYS = (
     ("max-coeff-bits", "max_coeff_bits"),
     ("max-reduction-steps", "max_reduction_steps"),
 )
+SCENARIO_KEYS = ("preset", "cone-data", "field", "checks", "seed", "caps", "cache-dir", "out",
+                 "timings")
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,6 @@ class ScenarioConfig:
 
     def cone_data(self) -> ConeData:
         cfg = FieldConfig.parse(self.field)
-        cfg = FieldConfig(kind=cfg.kind, p=cfg.p, seed=self.seed)
         if self.preset_name is not None:
             return preset(self.preset_name, cfg)
         n, h, f_text = self.cone_literal
@@ -110,9 +118,11 @@ class ScenarioConfig:
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         if not isinstance(d, dict):
             raise ConfigError("scenario config must be a JSON object")
+        _reject_unknown_keys(d, SCENARIO_KEYS, "scenario")
         caps_d = d.get("caps", {})
         if not isinstance(caps_d, dict):
             raise ConfigError("caps must be a JSON object")
+        _reject_unknown_keys(caps_d, [key for key, _ in CAP_KEYS], "caps")
         caps = {}
         for key, attr in CAP_KEYS:
             value = caps_d.get(key, getattr(DEFAULT_CAPS, attr))
@@ -125,6 +135,7 @@ class ScenarioConfig:
             if not (isinstance(cdd, dict) and type(cdd.get("n")) is int
                     and type(cdd.get("h")) is int and isinstance(cdd.get("f"), str)):
                 raise ConfigError("cone-data needs integer n, h and text f, not %r" % (cdd,))
+            _reject_unknown_keys(cdd, ("n", "h", "f"), "cone-data")
             lit = (cdd["n"], cdd["h"], cdd["f"])
         check_types(d, (
             ("preset", lambda v: v is None or isinstance(v, str), "a preset name"),

@@ -96,14 +96,15 @@ class Subscheme:
         g·m_y^N ⊆ J with g in k[y] puts g·m_y^N in J ∩ k[y] (prop-2-6's end
         fibre, `cone_family_end`).
     Three equalities decide a comparison, or a fibre, before any saturation:
-    (l) an ideal E equal to a saturated G is saturated: E : m^∞ = G : m^∞ = G
-        (omega-consistency, `verify_graph_consistency`, with G the twist's
-        map-graph closure, saturated in every block by (a));
+    (l) an ideal E equal to a saturated G is saturated: E : m^∞ = G : m^∞ = G,
+        and E ⊄ G gives E : m^∞ ⊄ G; only E ⊊ G is left open (omega-consistency,
+        `verify_graph_consistency`, with G the twist's map-graph closure,
+        saturated in every block by (a));
     (m) for distinct primes P1, P2 containing no m_b, P1 ∩ P2 is radical and
         saturated, and (P1 ∩ P2) : P2^∞ = P1 when P2 ⊄ P1 (P1 : P2^∞ = P1,
         P2 : P2^∞ = R); so an ideal equal to P1 ∩ P2 is the union of the two,
-        each a component of multiplicity 1 (digamma,
-        `verify_split_components`);
+        each a component of multiplicity 1, and as in (l) an ideal not inside
+        P1 ∩ P2 is not their union (digamma, `verify_split_components`);
     (n) let B be the forms' ideal of a map whose source is cut by f, with
         m_x ⊆ √(B + (f)).  Then I = (f) + minors and the closure J = I : B^∞
         have I ⊆ J ⊆ I : m_x^∞: they agree where some form is a unit, and f,

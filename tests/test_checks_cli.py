@@ -580,6 +580,8 @@ def test_run_check_without_report_guards_the_gate():
     # 31991 is the default field's modulus, so this denominator is 0 there
     ({"n": 2, "h": 1, "f": "1/31991*x0^2 + x1^2 + x2^2 + x3^2"},
      "f: zero denominator in coefficient '1/31991'"),
+    ({"n": 2, "h": 1, "f": "x0*x3 - x1*x2", "label": "q"},
+     "unknown cone-data key 'label' (valid: n, h, f)"),
 ])
 def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     # before validation these ended in a traceback and exit 1, the code that
@@ -607,6 +609,11 @@ def test_cli_verify_bad_cone_data_exit_2(tmp_path, capsys, cone_data, message):
     ({"timings": "no"}, "timings must be true or false, not 'no'"),
     ({"preset": []}, "preset must be a preset name, not []"),
     ({"preset": {}}, "preset must be a preset name, not {}"),
+    # unknown keys ran, ignored (a misspelt seed ran at seed 0), and exited 0
+    ({"sed": 5}, "unknown scenario key 'sed' (valid: preset, cone-data, field, checks, seed, "
+                 "caps, cache-dir, out, timings)"),
+    ({"caps": {"max-basiss": 1}}, "unknown caps key 'max-basiss' (valid: max-basis, max-pairs, "
+                                  "max-coeff-bits, max-reduction-steps)"),
 ])
 def test_cli_verify_bad_scenario_values_exit_2(tmp_path, capsys, extra, message):
     # each of these ended in a traceback and exit 1, the code that means FAIL,
@@ -1065,6 +1072,15 @@ def test_cli_gb_elim_order(tmp_path, capsys):
      "cannot load ideal: zero denominator in coefficient '1/0'"),
     ({"blocks": [["x", 2]], "field": "Fp:31991", "gens": ["x0 + 1/31991*x1"]}, "grevlex",
      "cannot load ideal: zero denominator in coefficient '1/31991'"),
+    # a float size ran as its integer part, and true and "2" were sizes
+    ({"blocks": [["x", 2.7]], "gens": ["x0"]}, "grevlex",
+     "cannot load ideal: ideal file needs blocks [[name, size], ...], not [['x', 2.7]]"),
+    ({"blocks": [["x", True]], "gens": ["x0"]}, "grevlex",
+     "cannot load ideal: ideal file needs blocks [[name, size], ...], not [['x', True]]"),
+    ({"blocks": [["x", "2"]], "gens": ["x0"]}, "grevlex",
+     "cannot load ideal: ideal file needs blocks [[name, size], ...], not [['x', '2']]"),
+    ({"gens": ["x0"]}, "grevlex",
+     "cannot load ideal: ideal file needs blocks [[name, size], ...], not None"),
 ])
 def test_cli_gb_bad_input_exit_2(tmp_path, capsys, ideal, order, message):
     # each of these ended in a traceback and exit 1, or was misread

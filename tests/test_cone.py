@@ -564,7 +564,7 @@ def test_diagonal_part_is_exact(scenario, p):
 def test_equality_shortcuts_hold(scenario, p):
     # case (l): the bare equation system already equals the map-graph
     # closure; case (m): the cut projection graph already equals
-    # gamma1 ∩ gamma2, and the saturated route reads what the equality reads
+    # gamma1 ∩ gamma2, and digamma certifies both multiplicities 1
     cd, schemes = instance_schemes(scenario, p)
     ctx = schemes.ctx
     G = schemes.omega_from_map.ideal
@@ -575,7 +575,58 @@ def test_equality_shortcuts_hold(scenario, p):
     assert ideal_equal(cut_graph, intersect(gamma1.ideal, gamma2.ideal, ctx), ctx)
     rep = cone.verify_split_components(schemes)
     assert (rep.certified, rep.mult_diag, rep.mult_special) == (True, 1, 1)
-    assert cone.saturated_split(cut_graph, gamma1, gamma2, ctx) == (True, 1, 1)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:2", "Fp:3", "Fp:%d" % DEFAULT_PRIME])
+def test_equalities_hold_on_every_small_instance(field):
+    # E = G (case (l)) and G + cut = gamma1 ∩ gamma2 (case (m)) for every
+    # 2 <= n <= 6 and 1 <= h <= n: neither reads f, so these are all the
+    # small instances on which omega-consistency or digamma could read
+    # INCONCLUSIVE
+    for n in range(2, 7):
+        f_text = " + ".join("x%d^2" % i for i in range(n + 2))
+        for h in range(1, n + 1):
+            cd = cone.ConeData(n=n, h=h, f_text=f_text, field_cfg=FieldConfig.parse(field))
+            schemes = cone.ConeSchemes(cd, EngineContext(seed=0))
+            assert cone.verify_graph_consistency(schemes)[0] is True, (n, h)
+            assert cone.verify_split_components(schemes).certified is True, (n, h)
+
+
+NO_DRAW_CHECKS = ("omega-consistency", "prop-2-1", "expansion-g", "digamma")
+PRIMES = ["Fp:%d" % DEFAULT_PRIME, "Fp:%d" % SECOND_PRIME]
+NO_DRAW_RUNS = [(s, f, "%s-%s" % (n, f)) for s, n in INSTANCES for f in PRIMES] + [
+    (dict(preset=name), "Q", "%s-Q" % name) for name in ALL_PRESETS]
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The tag of every EngineContext.rng call made while the test runs."""
+    calls = []
+    rng = EngineContext.rng
+
+    def counted(self, *tag):
+        calls.append(tag)
+        return rng(self, *tag)
+
+    monkeypatch.setattr(EngineContext, "rng", counted)
+    return calls
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("scenario,field", [r[:2] for r in NO_DRAW_RUNS],
+                         ids=[r[2] for r in NO_DRAW_RUNS])
+def test_non_randomized_checks_draw_nothing(scenario, field, draws):
+    # the checks marked non-randomized, and the E0 fibre check, read PASS
+    # with no random draw: a draw would be an uncertified step that no
+    # second prime cross-checks
+    cd = ScenarioConfig.from_dict(dict(scenario, field=field)).cone_data()
+    ctx = EngineContext(seed=0)
+    seen = {}
+    for cdef in [checks.CHECKS[name] for name in NO_DRAW_CHECKS] + [checks.E0_FIBER_CHECK]:
+        assert not cdef.randomized
+        before = len(draws)
+        seen[cdef.name] = (cdef.fn(cd, ctx).status, len(draws) - before)
+    assert seen == dict.fromkeys(seen, (checks.PASS, 0))
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME])
@@ -624,54 +675,58 @@ def _padded(ideal, block):
     return Ideal(ideal.ring, [g * v for v in ideal.ring.block_vars(block)] + list(ideal.gens[1:]))
 
 
-def test_omega_consistency_falls_back_to_saturation(monkeypatch):
-    # when the bare system is not the closure but its saturation is, the
-    # check saturates it and reads PASS
+def test_omega_consistency_decides_by_containment(monkeypatch, draws):
+    # E ⊊ G, with G the saturation of E, reads INCONCLUSIVE and names both
+    # ideals: only a saturation of E could decide it, and none is drawn.
+    # An equation with a term that does not vanish on the graph reads FAIL.
     cd = cone.preset("quadric-s2-h1", CFG)
     ring = cd.ring(cd.ambient_master())
     E = Ideal(ring, cone.graph_equations(cd, ring))
-    padded = _padded(E, "t").gens
-    monkeypatch.setattr(cone, "graph_equations", lambda cd, ring: padded)
     ctx = EngineContext(seed=0)
-    assert not ideal_equal(Ideal(ring, padded), cone.ConeSchemes(cd, ctx).omega_from_map.ideal, ctx)
+    G = cone.ConeSchemes(cd, ctx).omega_from_map.ideal
+    x, y = ring.block_vars("x"), ring.block_vars("y")
+    off_graph = [E.gens[0] + x[1] * y[1]] + list(E.gens[1:])
+    assert not contains(G, off_graph[0], ctx)
+    padded = _padded(E, "t").gens
+    assert not ideal_equal(Ideal(ring, padded), G, ctx)
     assert ideal_equal(multisaturate(Ideal(ring, padded), ctx), E, ctx)
-    sats = []
-    saturated = Subscheme.saturated.__func__
-
-    def counted(cls, ideal, ctx):
-        sats.append(ideal)
-        return saturated(cls, ideal, ctx)
-
-    monkeypatch.setattr(Subscheme, "saturated", classmethod(counted))
-    assert checks.check_omega_consistency(cd, ctx).status == checks.PASS
-    assert len(sats) == 1
+    for gens, status in ((padded, checks.INCONCLUSIVE), (off_graph, FAIL)):
+        monkeypatch.setattr(cone, "graph_equations", lambda cd, ring, gens=gens: gens)
+        del draws[:]
+        out = checks.check_omega_consistency(cd, EngineContext(seed=0))
+        assert out.status == status
+        assert {"equation-ideal", "map-graph-ideal"} <= set(out.witnesses)
+        assert draws == []
 
 
-def test_digamma_falls_back_to_saturation(monkeypatch):
-    # when the cut projection graph is not gamma1 ∩ gamma2 but its
-    # saturation is, the check splits the saturation and reads PASS
+def test_digamma_decides_by_containment(monkeypatch, draws):
+    # a cut projection graph strictly inside gamma1 ∩ gamma2 (its saturation
+    # is that intersection) reads INCONCLUSIVE with no draw; a cut-graph
+    # generator outside gamma1 reads FAIL
     cd = cone.preset("quadric-s2-h1", CFG)
     closure = scheme.graph_closure
-    monkeypatch.setattr(cone, "graph_closure",
-                        lambda spec, ctx: Subscheme(_padded(closure(spec, ctx).ideal, "z")))
-    ctx = EngineContext(seed=0)
-    schemes = cone.ConeSchemes(cd, ctx)
-    graph = schemes.projection_graph.ideal
-    cut, gamma1, gamma2 = cone.split_components(cd, graph.ring)
-    meet = intersect(gamma1.ideal, gamma2.ideal, ctx)
-    assert not ideal_equal(graph.with_extra(cut), meet, ctx)
-    splits = []
-    saturated_split = cone.saturated_split
+    z1 = cd.ring(cd.ambient_zx()).block_vars("z")[1]
 
-    def counted(*args):
-        splits.append(args)
-        return saturated_split(*args)
+    def padded(spec, ctx):
+        return Subscheme(_padded(closure(spec, ctx).ideal, "z"))
 
-    monkeypatch.setattr(cone, "saturated_split", counted)
-    out = checks.check_split_components(cd, ctx)
-    assert out.status == checks.PASS
-    assert out.witnesses["multiplicity-diagonal"] == out.witnesses["multiplicity-special-fiber"] == "1"
-    assert len(splits) == 1
+    def with_z1(spec, ctx):
+        graph = closure(spec, ctx).ideal
+        return Subscheme(graph.with_extra([graph.ring.convert(z1)]))
+
+    for build, status, certified in ((padded, checks.INCONCLUSIVE, None), (with_z1, FAIL, False)):
+        monkeypatch.setattr(cone, "graph_closure", build)
+        ctx = EngineContext(seed=0)
+        graph = cone.ConeSchemes(cd, ctx).projection_graph.ideal
+        cut, gamma1, gamma2 = cone.split_components(cd, graph.ring)
+        meet = intersect(gamma1.ideal, gamma2.ideal, ctx)
+        assert contains_ideal(meet, graph.with_extra(cut), ctx) == (certified is None)
+        del draws[:]
+        out = checks.check_split_components(cd, ctx)
+        assert out.status == status
+        assert out.witnesses["union-certified"] is certified
+        assert out.witnesses["multiplicity-diagonal"] == "None"
+        assert draws == []
 
 
 def test_w_covering_falls_back_to_the_closure(monkeypatch):

@@ -38,6 +38,7 @@ BAD = {
                                             "1/31991*x0^2 + x1^2 + x2^2 + x3^2"]),
                            anything_wrong),
         }),
+        st.just({"n": 2, "h": 1, "f": "x0*x3 - x1*x2", "label": "q"}),  # an unknown key
         anything_wrong,
     ),
     "checks": st.one_of(st.just([]), st.just(["no-such-check"]), anything_wrong),
@@ -46,9 +47,12 @@ BAD = {
     "caps": st.one_of(
         st.dictionaries(st.sampled_from(CAP_KEYS), st.one_of(st.integers(-2, 0), anything_wrong),
                         min_size=1, max_size=2),
+        st.just({"max-basiss": 1}),  # an unknown key
         anything_wrong,
     ),
     "timings": anything_wrong,
+    # a key no scenario has (a misspelt seed)
+    "sed": st.integers(0, 5),
 }
 
 

@@ -49,8 +49,9 @@ basis of that reduced basis as a new generator set, the first prime made
 (72, 39), the second (44, 30).
 
 prop-2-1 alone on the same scenario is pinned by its block saturations:
-the diagonal part's x, which is exact for any draw, and nothing else.
-When it built sigma from omega, saturated the t = 1 fibre in x and tested
+none.  When it saturated the diagonal part in x by a random linear form
+(exact for any draw, and now done by x0), it made 1 `saturate_block` call
+and 1 random draw.  When it built sigma from omega, saturated the t = 1 fibre in x and tested
 V(C) ⊆ V(S) by radical membership, it made 6 `saturate_block` calls
 (omega's four, the diagonal part's x and the fibre's x), and on
 quadric-s2-h1 and cubic-3f-h1 it made 17 and 27 `radical_member` calls
@@ -133,14 +134,14 @@ def block_saturations(monkeypatch):
 def test_prop_2_1_block_saturations(block_saturations):
     run_scenario(ScenarioConfig(preset_name="quadric-s2-h1", field="Fp:31991",
                                 checks=("prop-2-1",), seed=0))
-    # the diagonal part's x only
-    assert block_saturations == ["x"]
+    # the diagonal part is saturated by x0, a divide-out, not a block saturation
+    assert block_saturations == []
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("preset", ["quadric-s2-h1", "cubic-3f-h1"])
 def test_prop_2_1_draws_once_and_tests_no_radical(preset, monkeypatch):
-    # one random draw, the diagonal part's exact x saturation, and the
+    # no random draw (the diagonal part is saturated by x0), and the
     # containment V(C) ⊆ V(S) read as S ⊆ C with no radical-membership basis
     calls = {"radical": 0, "rng": 0}
     radical_member, rng = ideals.radical_member, ideals.EngineContext.rng
@@ -158,7 +159,7 @@ def test_prop_2_1_draws_once_and_tests_no_radical(preset, monkeypatch):
     rep = run_scenario(ScenarioConfig(preset_name=preset, field="Fp:31991",
                                       checks=("prop-2-1",), seed=0))
     assert [c["status"] for c in rep["checks"]] == ["PASS"]
-    assert calls == {"radical": 0, "rng": 1}
+    assert calls == {"radical": 0, "rng": 0}
 
 
 def test_equality_checks_make_no_block_saturation(block_saturations):
